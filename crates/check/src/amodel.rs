@@ -1,10 +1,15 @@
-//! Atomics-aware model checker for the lock-free swap path.
+//! Atomics-aware model checker for the multi-buffer swap engine.
 //!
-//! [`crate::model`] explores the mutex/condvar protocol; this module
-//! extends the same exhaustive-DFS machinery to *virtual atomics with
-//! memory-ordering semantics*, and runs it against the real
-//! [`odr_core::atomic_swap`] transition machines — the code production
-//! executes, not a re-implementation.
+//! A deterministic, loom-style explorer of bounded thread interleavings
+//! over *virtual atomics with memory-ordering semantics*, run against
+//! the real [`odr_core::atomic_swap`] transition machines — the code
+//! production executes behind every `SyncQueue`, not a
+//! re-implementation. Every execution checks the paper's swap
+//! semantics (DESIGN.md §1): FIFO delivery with no torn or stale pops,
+//! bounded occupancy, blocking (never dropping) producers in ODR mode,
+//! replace-newest in NoReg mode, priority publishes flushing every
+//! obsolete frame, conservation of frames, and termination of every
+//! thread.
 //!
 //! # Memory model
 //!
@@ -30,16 +35,19 @@
 //! # Scheduling
 //!
 //! One machine step (at most one observable shared-memory operation)
-//! per scheduler decision, drawn by the shared [`Chooser`] — so DFS
-//! backtracking, seeded-random exploration and trace replay behave
-//! exactly like the sync model's, and failing traces replay the same
-//! way. `Busy` outcomes park the thread until *any* other thread
-//! writes (a GenMC-style await), turning production spin-loops into
-//! scheduler blocks so the DFS stays finite. `MustWait` outcomes park
-//! on a virtual gate woken by the corresponding signal edges; the
-//! eventcount internals of the production gate are std-level
-//! mutex/condvar code outside this model's scope (the sync model
-//! covers lost-wakeup bugs of that shape).
+//! per scheduler decision, drawn by a [`Chooser`]: exhaustive DFS with
+//! an execution budget, seeded-random exploration, or exact replay of
+//! a recorded failing trace. `Busy` outcomes park the thread until
+//! *any* other thread writes (a GenMC-style await), turning production
+//! spin-loops into scheduler blocks so the DFS stays finite. A spin that
+//! reloads state without reporting `Busy` never parks, so an unfair
+//! schedule runs it into the step limit: the checker reports it as a
+//! livelock. `MustWait` outcomes park
+//! on a virtual gate woken by the corresponding signal edges, with a
+//! spurious-wakeup budget. The eventcount internals of the production
+//! gate (its Dekker-fenced prepare/recheck/park handshake) are std-level
+//! mutex/condvar code outside this model's scope; the threaded tests in
+//! `odr-core` exercise them.
 
 use std::collections::VecDeque;
 
@@ -48,8 +56,6 @@ use odr_core::atomic_swap::{
     SlotLayout, Step, SwapMem,
 };
 use odr_core::queue::FullPolicy;
-
-use crate::model::{Chooser, Explored, Failure};
 
 /// The value a payload cell holds before any frame was written to it.
 /// Popping it means the consumer observed a slot before its payload.
@@ -60,6 +66,96 @@ const PRIORITY_BASE: u64 = 1000;
 /// First token of the pre-fill stream (frames enqueued before the
 /// exploration starts).
 const PREFILL_BASE: u64 = 5000;
+
+/// Why an execution violated the protocol contract.
+#[derive(Debug, Clone)]
+pub struct Failure {
+    /// What went wrong.
+    pub message: String,
+    /// The decision trace that reproduces it (see [`replay`]).
+    pub trace: Vec<u32>,
+}
+
+/// Outcome of exploring one scenario.
+#[derive(Debug, Default)]
+pub struct Explored {
+    /// Complete interleavings executed.
+    pub executions: u64,
+    /// Deepest decision stack seen.
+    pub max_depth: usize,
+    /// `true` if DFS exhausted the space within budget (random mode
+    /// never sets this).
+    pub complete: bool,
+    /// First contract violation found, if any.
+    pub failure: Option<Failure>,
+}
+
+/// How the next scheduling/nondeterminism decision is drawn: DFS
+/// backtracking, seeded-random draws, or exact trace replay.
+pub enum Chooser<'a> {
+    /// Follow/extend the DFS schedule prefix.
+    Dfs {
+        /// The decision prefix being explored (mutated by backtracking).
+        schedule: &'a mut Vec<u32>,
+        /// Option count observed at each decision point.
+        options: &'a mut Vec<u32>,
+        /// Next decision index.
+        pos: usize,
+    },
+    /// Seeded pseudo-random draws, recording the trace.
+    Random {
+        /// splitmix64 state.
+        state: u64,
+        /// Decisions drawn so far (the replayable trace).
+        trace: &'a mut Vec<u32>,
+    },
+    /// Replay a fixed trace exactly (clamps politely past the end).
+    Replay {
+        /// The recorded decision trace.
+        trace: &'a [u32],
+        /// Next decision index.
+        pos: usize,
+    },
+}
+
+impl Chooser<'_> {
+    /// Draws the next decision in `0..n`.
+    pub fn choose(&mut self, n: u32) -> u32 {
+        debug_assert!(n > 0);
+        match self {
+            Chooser::Dfs {
+                schedule,
+                options,
+                pos,
+            } => {
+                if *pos == schedule.len() {
+                    schedule.push(0);
+                    options.push(n);
+                }
+                options[*pos] = n;
+                let c = schedule[*pos];
+                *pos += 1;
+                c.min(n - 1)
+            }
+            Chooser::Random { state, trace } => {
+                // splitmix64: deterministic for a given seed.
+                *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = *state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^= z >> 31;
+                let c = ((u128::from(z) * u128::from(n)) >> 64) as u32;
+                trace.push(c);
+                c
+            }
+            Chooser::Replay { trace, pos } => {
+                let c = trace.get(*pos).copied().unwrap_or(0);
+                *pos += 1;
+                c.min(n - 1)
+            }
+        }
+    }
+}
 
 /// A bounded scenario for the atomic swap protocol.
 #[derive(Clone, Debug)]
@@ -493,6 +589,13 @@ impl<'s> World<'s> {
     fn apply_effect(&mut self, tid: usize, effect: Effect) {
         match effect {
             Effect::Published(tok) => {
+                if (PRIORITY_BASE..PREFILL_BASE).contains(&tok) && !self.ghost.is_empty() {
+                    self.fail(format!(
+                        "priority token {tok} published behind {} unflushed obsolete frame(s)",
+                        self.ghost.len()
+                    ));
+                    return;
+                }
                 if self.ghost.len() >= self.s.capacity {
                     self.fail(format!(
                         "occupancy exceeded: token {tok} published into a full ghost queue \
@@ -834,12 +937,7 @@ pub fn execute(s: &AScenario, chooser: &mut Chooser<'_>) -> Option<String> {
 /// Exhaustive DFS over every schedule of `s`, up to `max_executions`.
 #[must_use]
 pub fn explore_dfs(s: &AScenario, max_executions: u64) -> Explored {
-    let mut result = Explored {
-        executions: 0,
-        max_depth: 0,
-        complete: false,
-        failure: None,
-    };
+    let mut result = Explored::default();
     let mut schedule: Vec<u32> = Vec::new();
     let mut options: Vec<u32> = Vec::new();
     loop {
@@ -885,12 +983,7 @@ pub fn explore_dfs(s: &AScenario, max_executions: u64) -> Explored {
 /// a given `seed`.
 #[must_use]
 pub fn explore_random(s: &AScenario, n: u64, seed: u64) -> Explored {
-    let mut result = Explored {
-        executions: 0,
-        max_depth: 0,
-        complete: false,
-        failure: None,
-    };
+    let mut result = Explored::default();
     for i in 0..n {
         let mut trace = Vec::new();
         let violation = {
@@ -959,6 +1052,25 @@ pub fn atomic_suite() -> Vec<AScenario> {
             s
         },
         AScenario::lockfree("lockfree/block-cap2-pipeline", FullPolicy::Block, 2, 2, true),
+        AScenario::lockfree("odr/cap2-racing-closer", FullPolicy::Block, 2, 3, false),
+        {
+            // Two obsolete frames: the flush must drain both while the
+            // consumer races it for each slot. No spurious wakeups, so
+            // the DFS budget goes to the claim races.
+            let mut s =
+                AScenario::lockfree("odr/cap2-priority-flush", FullPolicy::Block, 2, 1, true);
+            s.prefill = 2;
+            s.priority_every = 1;
+            s.spurious_budget = 0;
+            s
+        },
+        AScenario::lockfree(
+            "noreg/cap2-racing-closer",
+            FullPolicy::Overwrite,
+            2,
+            3,
+            false,
+        ),
     ]
 }
 

@@ -354,10 +354,10 @@ mod tests {
 
     #[test]
     fn pub_use_reexports_are_captured() {
-        let items = parse_items(&lex("pub use crate::swap::SwapState;\n"));
+        let items = parse_items(&lex("pub use crate::sync_queue::SyncQueue;\n"));
         let mut out = Vec::new();
         emit_items("odr_core", &items, &mut out);
-        assert_eq!(out, ["odr_core | pub use crate::swap::SwapState"]);
+        assert_eq!(out, ["odr_core | pub use crate::sync_queue::SyncQueue"]);
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! The atomics-discipline pass: memory-ordering hygiene over every
 //! `std::sync::atomic` call site in the workspace.
 //!
-//! The ROADMAP's lock-free multi-buffer hot path will replace a
-//! Mutex/Condvar protocol whose correctness the model checker can
-//! exhaustively explore with raw atomics whose correctness rests on
-//! picking the right `Ordering` at every site. These rules are the
-//! static side of that gate:
+//! The multi-buffer swap engine runs on raw atomics whose correctness
+//! rests on picking the right `Ordering` at every site; the
+//! atomics-aware model checker explores its interleavings. These rules
+//! are the static side of that gate:
 //!
 //! * `atomics/relaxed-publish` — a `store`/`swap` with
 //!   `Ordering::Relaxed` whose value is **not** a literal. Storing a

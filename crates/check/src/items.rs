@@ -568,7 +568,7 @@ fn render(toks: &[&Token]) -> String {
     let mut i = 0;
     while i < toks.len() {
         let t = toks[i];
-        // `::` glues to both neighbours (`crate::swap::SwapState`);
+        // `::` glues to both neighbours (`crate::sync_queue::SyncQueue`);
         // the other fusions keep normal spacing (`( ) -> u8`).
         let glued = t.is_punct(':') && toks.get(i + 1).is_some_and(|n| n.is_punct(':'));
         let fused = if glued {

@@ -31,17 +31,15 @@
 //!   workspace rendered into a sorted, byte-deterministic
 //!   `api-surface.txt`, with `odr-check api --check` failing on
 //!   undeclared diffs;
-//! * [`model`] — a deterministic loom-style model checker that explores
-//!   bounded thread interleavings of the real
-//!   [`odr_core::SwapState`] swap protocol and asserts the paper's
-//!   multi-buffer semantics (no deadlock, no lost wakeup, no
-//!   reordering, conservation, bounded occupancy);
-//! * [`amodel`] — the atomics-aware sibling of [`model`]: a virtual
-//!   memory of per-location message histories with acquire/release view
-//!   propagation, exhaustively exploring the lock-free
-//!   [`odr_core::atomic_swap`] protocol so under-ordered publications
-//!   (e.g. a `Relaxed` seq store) surface as torn pops with replayable
-//!   traces.
+//! * [`amodel`] — a deterministic, loom-style model checker over a
+//!   virtual memory of per-location message histories with
+//!   acquire/release view propagation. It explores bounded thread
+//!   interleavings of the real [`odr_core::atomic_swap`] step machines
+//!   (the one engine behind every `SyncQueue`) and asserts the paper's
+//!   multi-buffer semantics: no deadlock or lost wakeup, no reordering
+//!   or torn pop, conservation, bounded occupancy. Under-ordered
+//!   publications (e.g. a `Relaxed` seq store) surface as torn pops
+//!   with replayable traces.
 
 pub mod amodel;
 pub mod api;
@@ -52,5 +50,4 @@ pub mod items;
 pub mod lex;
 pub mod lint;
 pub mod locks;
-pub mod model;
 pub mod taint;

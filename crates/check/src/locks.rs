@@ -1,13 +1,14 @@
 //! Lock-discipline analysis over the blocking (real-thread) modules.
 //!
-//! The paper's swap protocol is a blocking mutex/condvar design, so the
-//! two bug classes that silently break it are (a) a *blocking call made
-//! while a lock guard is live* — a condvar wait on a different lock, a
-//! channel send/recv, a real sleep, a thread join — and (b) *inconsistent
-//! pairwise lock acquisition order* across code paths, the classic
-//! deadlock seed. The PR-1 model checker explores interleavings of the
-//! swap protocol itself but cannot see a blocking call introduced under a
-//! lock elsewhere; this pass closes that gap statically.
+//! The real-thread modules in scope (the swap engine's eventcount gate,
+//! the runtime pipeline, the trace recorder) take std mutexes and park on
+//! condvars, so the two bug classes that silently break them are (a) a
+//! *blocking call made while a lock guard is live* — a condvar wait on a
+//! different lock, a channel send/recv, a real sleep, a thread join — and
+//! (b) *inconsistent pairwise lock acquisition order* across code paths,
+//! the classic deadlock seed. The model checker explores interleavings of
+//! the swap protocol itself but cannot see a blocking call introduced
+//! under a lock elsewhere; this pass closes that gap statically.
 //!
 //! The analysis walks the token stream (from [`crate::lex`]) of each
 //! in-scope file, tracking **guard scopes**:

@@ -5,8 +5,7 @@
 //! The traces below were found by `amodel::explore_dfs` and are pinned
 //! here so any change to the checker (or to the protocol's memory
 //! orderings) that would stop detecting these bugs — or that perturbs
-//! deterministic replay — fails loudly. They mirror the condvar-bug
-//! pins in `model_regressions.rs`.
+//! deterministic replay — fails loudly.
 
 use odr_check::amodel::{explore_dfs, replay, AScenario};
 use odr_core::atomic_swap::OrderingProfile;

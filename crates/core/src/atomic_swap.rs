@@ -1,13 +1,13 @@
 //! Lock-free multi-buffer swap path: an atomic slot-exchange queue with
 //! generation-counted slots (seqlock/triple-buffer style publication).
 //!
-//! This module is the lock-free counterpart of [`crate::sync_queue`]:
-//! the producer publishes a frame by claiming a slot, writing the
-//! payload, and releasing the slot's *sequence word* (`4·position +
-//! tag`); the consumer claims a `FULL` slot with a CAS, reads the
-//! payload, and recycles the word for the next lap. Overwrite mode is
-//! fully lock-free; blocking mode keeps a condvar only on the `MustWait`
-//! edge (the [`Gate`] eventcount), exactly where the paper's
+//! This module is the engine behind [`crate::SyncQueue`] in both
+//! full-buffer policies. The producer publishes a frame by claiming a
+//! slot, writing the payload, and releasing the slot's *sequence word*
+//! (`4·position + tag`); the consumer claims a `FULL` slot with a CAS,
+//! reads the payload, and recycles the word for the next lap. Overwrite
+//! mode is fully lock-free; blocking mode keeps a condvar only on the
+//! `MustWait` edge (the [`Gate`] eventcount), exactly where the paper's
 //! convergence argument needs the producer to pause.
 //!
 //! # One copy of the truth
@@ -44,7 +44,31 @@ use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::queue::FullPolicy;
-use crate::swap::{TryPop, TryPublish};
+
+/// Outcome of one non-blocking publish attempt.
+#[derive(Debug, PartialEq, Eq)]
+pub enum TryPublish<T> {
+    /// Frame accepted (stored, or it replaced the newest in overwrite
+    /// mode).
+    Accepted,
+    /// The queue is closed; the frame is discarded and the producer must
+    /// stop.
+    Closed,
+    /// Blocking mode and the buffer is full: the frame is handed back and
+    /// the caller must wait for space, then retry.
+    MustWait(T),
+}
+
+/// Outcome of one non-blocking pop attempt.
+#[derive(Debug, PartialEq, Eq)]
+pub enum TryPop<T> {
+    /// The oldest pending frame.
+    Frame(T),
+    /// The queue is closed and fully drained: the consumer must stop.
+    Drained,
+    /// Nothing pending yet: the caller must wait for data, then retry.
+    MustWait,
+}
 
 /// Slot sequence-word tags: `seq = 4·position + tag`.
 const TAG_EMPTY: u64 = 0;
@@ -613,9 +637,12 @@ impl PopM {
                     // MustWait and Drained from the close flag.
                     self.state = PopState::CheckClosed;
                     Step::Pending
-                } else if seq == seq_word(t, TAG_READING) {
-                    // The priority flusher holds the claim and will
-                    // write again before releasing it: wait for a write.
+                } else if seq == seq_word(t, TAG_READING) || seq < seq_word(t, TAG_EMPTY) {
+                    // The priority flusher holds the claim on this
+                    // position, or on the slot's previous lap (it has
+                    // advanced TAIL but not yet recycled the word), and
+                    // will write again before releasing it: wait for a
+                    // write.
                     self.state = PopState::Finished;
                     Step::Done(PopOut::Busy)
                 } else {
@@ -706,7 +733,7 @@ impl PopM {
                     // close itself; its frame counts as queue remainder.
                     self.state = PopState::Finished;
                     Step::Done(PopOut::Drained)
-                } else if seq == seq_word(t, TAG_READING) {
+                } else if seq == seq_word(t, TAG_READING) || seq < seq_word(t, TAG_EMPTY) {
                     self.state = PopState::Finished;
                     Step::Done(PopOut::Busy)
                 } else {
@@ -795,14 +822,14 @@ impl PriorityM {
                     self.publish = Some(self.proto.publish(self.token));
                     self.state = PrState::Publishing;
                     Step::Pending
-                } else if seq == seq_word(t, TAG_READING) {
-                    // Consumer mid-claim; it will write again (tail
-                    // advance, recycle) before finishing.
+                } else if seq == seq_word(t, TAG_READING) || seq < seq_word(t, TAG_EMPTY) {
+                    // Consumer mid-claim on this position, or on the
+                    // slot's previous lap (TAIL advanced, word not yet
+                    // recycled); it will write again before finishing.
                     self.state = PrState::Finished;
                     Step::Done(PriorityOut::Busy)
                 } else {
-                    // Stale tail (consumer advanced it) or a WRITING
-                    // word from an unfinished lap: reload the tail.
+                    // Stale tail (consumer advanced it): reload the tail.
                     self.state = PrState::LoadTail;
                     Step::Pending
                 }
@@ -1535,6 +1562,65 @@ mod tests {
         assert_eq!(q.try_pop(), Some(1));
         assert_eq!(q.try_publish(2), TryPublish::Accepted);
         assert_eq!(q.len(), 1);
+    }
+
+    /// Calls `step` until it reports `Done`, giving up after `limit` calls.
+    fn run_bounded<O>(limit: usize, mut step: impl FnMut() -> Step<O>) -> Option<O> {
+        (0..limit).find_map(|_| match step() {
+            Step::Done(out) => Some(out),
+            Step::Pending => None,
+        })
+    }
+
+    #[test]
+    fn pop_waits_for_a_flusher_that_has_not_recycled_its_slot() {
+        let q = AtomicSwap::new(2, FullPolicy::Block);
+        assert_eq!(q.try_publish(1u8), TryPublish::Accepted);
+        assert_eq!(q.try_publish(2), TryPublish::Accepted);
+        // Flush position 0 up to, but not including, its recycle store.
+        let mut flush_mem = q.mem(Some(9));
+        let mut flusher = q.proto.publish_priority(0);
+        while !matches!(flusher.state, PrState::Recycle) {
+            assert_eq!(flusher.step(&mut flush_mem), Step::Pending);
+        }
+        // Position 1 pops; position 2 maps to slot 0, which still holds
+        // the flusher's claim from the previous lap. The consumer must
+        // report Busy (wait for a write), not spin on reloading TAIL.
+        assert_eq!(q.try_pop(), Some(2));
+        let mut pop = q.proto.pop();
+        let mut pop_mem = q.mem(None);
+        assert_eq!(run_bounded(16, || pop.step(&mut pop_mem)), Some(PopOut::Busy));
+        // Once the flusher recycles and publishes, the consumer proceeds.
+        assert!(matches!(
+            run_bounded(16, || flusher.step(&mut flush_mem)),
+            Some(PriorityOut::Accepted { flushed: 1 })
+        ));
+        assert_eq!(q.try_pop(), Some(9));
+    }
+
+    #[test]
+    fn flusher_waits_for_a_consumer_that_has_not_recycled_its_slot() {
+        let q = AtomicSwap::new(2, FullPolicy::Block);
+        assert_eq!(q.try_publish(1u8), TryPublish::Accepted);
+        assert_eq!(q.try_publish(2), TryPublish::Accepted);
+        // Pop position 0 up to, but not including, its recycle store.
+        let mut pop_mem = q.mem(None);
+        let mut pop = q.proto.pop();
+        while !matches!(pop.state, PopState::Recycle) {
+            assert_eq!(pop.step(&mut pop_mem), Step::Pending);
+        }
+        // The flusher takes position 1, then finds slot 0 still claimed
+        // on its previous lap: Busy, with the flush it already did.
+        let mut flush_mem = q.mem(Some(9));
+        let mut flusher = q.proto.publish_priority(0);
+        assert_eq!(
+            run_bounded(32, || flusher.step(&mut flush_mem)),
+            Some(PriorityOut::Busy)
+        );
+        assert_eq!(flusher.flushed_so_far(), 1);
+        assert_eq!(run_bounded(16, || pop.step(&mut pop_mem)), Some(PopOut::Frame(0)));
+        assert_eq!(q.publish_priority(9), Some(0));
+        assert_eq!(q.try_pop(), Some(9));
     }
 
     #[test]

@@ -29,11 +29,16 @@
 //! plain state machines, so the same code drives both the discrete-event
 //! simulator (`odr-pipeline`) and the real-thread runtime (`odr-runtime`,
 //! via [`SyncQueue`]).
+//!
+//! The threaded multi-buffer has one engine for both full-buffer
+//! policies: [`SyncQueue`] wraps the lock-free [`AtomicSwap`], whose
+//! step machines are the ones the `odr-check` atomics-aware model
+//! checker explores. The DES drives the pure [`FrameQueue`] directly.
 
 /// Arena-pooled event storage: the slab-indexed event queue the fleet
 /// engine reuses across sessions instead of allocating per event.
 pub mod arena;
-/// The lock-free multi-buffer swap path: generation-counted slot
+/// The multi-buffer swap engine: generation-counted lock-free slot
 /// exchange, step machines shared with the `odr-check` atomics model.
 pub mod atomic_swap;
 /// The unified [`error::OdrError`] every fallible crate boundary returns.
@@ -57,14 +62,12 @@ pub mod regulator;
 pub mod rvs;
 /// Display/refresh specifications shared by simulator and runtime.
 pub mod spec;
-/// The pure swap-protocol state machine executed by both the real
-/// [`sync_queue::SyncQueue`] and the `odr-check` model checker.
-pub mod swap;
-/// The blocking mutex/condvar driver around [`swap::SwapState`].
+/// The thread-safe multi-buffer: [`atomic_swap::AtomicSwap`] plus
+/// observability.
 pub mod sync_queue;
 
 pub use arena::{EventArena, SlabEventQueue};
-pub use atomic_swap::AtomicSwap;
+pub use atomic_swap::{AtomicSwap, TryPop, TryPublish};
 pub use error::{OdrError, OdrResult};
 pub use options::{FidelityMode, SimOptions};
 pub use pacer::{AdaptiveIntervalPacer, IntervalPacer};
@@ -73,5 +76,4 @@ pub use queue::{FrameQueue, Publish};
 pub use regulator::FpsRegulator;
 pub use rvs::RvsRegulator;
 pub use spec::{FpsGoal, OdrOptions, RegulationSpec};
-pub use swap::{SwapState, TryPop, TryPublish};
 pub use sync_queue::{QueueObs, SyncQueue};

@@ -4,8 +4,9 @@
 //! frame buffer whose producer either blocks (ODR) or overwrites the newest
 //! pending frame (classic triple-buffer / NoReg behaviour), plus the
 //! PriorityFrame flush. It contains no synchronisation so the
-//! discrete-event simulator can drive it directly; the real-time runtime
-//! wraps it in [`crate::SyncQueue`].
+//! discrete-event simulator can drive it directly. The real-time runtime
+//! uses [`crate::SyncQueue`], which implements the same semantics
+//! lock-free; `tests/differential.rs` checks the two against each other.
 
 /// Outcome of publishing a frame into a [`FrameQueue`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -4,37 +4,29 @@
 //! paper's swap semantics: the producer blocks while the buffer is full
 //! (ODR mode) or replaces the newest pending frame (unregulated mode),
 //! the consumer blocks while it is empty, and a priority publish
-//! flushes obsolete frames and jumps the queue. Two engines implement
-//! that contract:
+//! flushes obsolete frames and jumps the queue.
 //!
-//! * **Locked** — the pure [`crate::swap::SwapState`] protocol under a
-//!   `std::sync` mutex/condvar pair; every transition decision lives in
-//!   [`crate::swap`], this file only turns `MustWait` outcomes into
-//!   condvar waits and `Accepted`/`Frame` outcomes into notifications.
-//! * **Lockfree** — the [`crate::atomic_swap::AtomicSwap`] slot-exchange
-//!   queue (feature `lockfree-swap`, default on): overwrite mode runs
-//!   fully lock-free; blocking mode parks on an eventcount gate only on
-//!   the `MustWait` edge.
+//! One engine implements that contract in both policies: the
+//! [`AtomicSwap`] slot-exchange queue. Overwrite mode never takes a
+//! lock; blocking mode parks on an eventcount gate only on the
+//! `MustWait` edge. The transition code is the step machines the
+//! `odr-check` atomics-aware model checker explores, so the protocol
+//! verified there is the protocol running here. This file only adds
+//! observability: wait spans, drop and flush instants.
 //!
-//! The default constructors route overwrite-mode queues through the
-//! lock-free engine when the feature is on; blocking-mode queues keep
-//! the locked engine (its condvar semantics are the ones the paper's
-//! convergence argument was verified against; the lock-free blocking
-//! path is available via [`SyncQueue::new_lockfree`]). Both engines are
-//! explored by the `odr-check` model checkers — the mutex/condvar
-//! protocol by the virtual-sync model, the atomic protocol by the
-//! atomics-aware model — so the protocol verified there is the protocol
-//! running here.
+//! # Threading contract
+//!
+//! Single producer, single consumer. Normal *and* priority publishes
+//! run on the producer thread; pops run on the consumer thread;
+//! [`SyncQueue::close`] may be called from any thread.
 
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 use odr_obs::{names, Event, MonoClock, Recorder};
 
-#[cfg(feature = "lockfree-swap")]
-use crate::atomic_swap::AtomicSwap;
+use crate::atomic_swap::{AtomicSwap, TryPop, TryPublish};
 use crate::error::{OdrError, OdrResult};
 use crate::queue::FullPolicy;
-use crate::swap::{SwapState, TryPop, TryPublish};
 
 /// Observability attachment for a [`SyncQueue`]: where (and on which
 /// trace lane) the queue records its swap waits, overwrite drops and
@@ -56,21 +48,6 @@ impl QueueObs {
     fn now_ns(&self) -> u64 {
         self.clock.now_ns()
     }
-}
-
-/// The synchronisation engine behind a [`SyncQueue`].
-enum Engine<T> {
-    /// Mutex/condvar around the pure swap protocol.
-    Locked {
-        state: Mutex<SwapState<T>>,
-        /// Signalled when a frame is popped (space available).
-        space: Condvar,
-        /// Signalled when a frame is published (data available).
-        data: Condvar,
-    },
-    /// Lock-free slot exchange (gates only on the `MustWait` edges).
-    #[cfg(feature = "lockfree-swap")]
-    Lockfree(AtomicSwap<T>),
 }
 
 /// A bounded, closable, multi-buffer channel between two pipeline threads.
@@ -99,84 +76,16 @@ enum Engine<T> {
 /// assert_eq!(got, (0..100).collect::<Vec<_>>());
 /// ```
 pub struct SyncQueue<T> {
-    engine: Engine<T>,
+    swap: AtomicSwap<T>,
     /// Optional observability sink (see [`SyncQueue::with_obs`]).
     obs: Option<QueueObs>,
 }
 
-/// A poisoned lock means another pipeline thread panicked while holding
-/// it. The protocol state itself is a plain state machine left in a
-/// consistent state by every transition, so we keep going rather than
-/// propagate the panic into unrelated threads.
-fn relock<'a, T>(
-    r: Result<MutexGuard<'a, T>, PoisonError<MutexGuard<'a, T>>>,
-) -> MutexGuard<'a, T> {
-    r.unwrap_or_else(PoisonError::into_inner)
-}
-
 impl<T> SyncQueue<T> {
-    fn locked_engine(capacity: usize, policy: FullPolicy) -> Engine<T> {
-        Engine::Locked {
-            state: Mutex::new(SwapState::new(capacity, policy)),
-            space: Condvar::new(),
-            data: Condvar::new(),
-        }
-    }
-
     fn with_policy(capacity: usize, policy: FullPolicy) -> Self {
-        // Overwrite mode is the pipeline's hot, drop-tolerant path; it
-        // goes lock-free when the feature is on. Blocking mode keeps
-        // the condvar engine by default.
-        #[cfg(feature = "lockfree-swap")]
-        if policy == FullPolicy::Overwrite {
-            return SyncQueue {
-                engine: Engine::Lockfree(AtomicSwap::new(capacity, policy)),
-                obs: None,
-            };
-        }
         SyncQueue {
-            engine: Self::locked_engine(capacity, policy),
+            swap: AtomicSwap::new(capacity, policy),
             obs: None,
-        }
-    }
-
-    /// Creates a queue on the mutex/condvar engine regardless of policy
-    /// or features — the reference engine for differential tests and
-    /// the locked-vs-lock-free benchmark.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn new_locked(capacity: usize, policy: FullPolicy) -> Self {
-        SyncQueue {
-            engine: Self::locked_engine(capacity, policy),
-            obs: None,
-        }
-    }
-
-    /// Creates a queue on the lock-free engine regardless of policy —
-    /// blocking mode parks on the eventcount gate instead of a condvar.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[cfg(feature = "lockfree-swap")]
-    #[must_use]
-    pub fn new_lockfree(capacity: usize, policy: FullPolicy) -> Self {
-        SyncQueue {
-            engine: Engine::Lockfree(AtomicSwap::new(capacity, policy)),
-            obs: None,
-        }
-    }
-
-    /// Returns `true` if this queue runs on the lock-free engine.
-    #[must_use]
-    pub fn uses_lockfree(&self) -> bool {
-        match &self.engine {
-            Engine::Locked { .. } => false,
-            #[cfg(feature = "lockfree-swap")]
-            Engine::Lockfree(_) => true,
         }
     }
 
@@ -272,156 +181,57 @@ impl<T> SyncQueue<T> {
     /// Publishes a frame, blocking while the buffer is full (in blocking
     /// mode). Returns `false` if the queue was closed (frame discarded).
     pub fn publish_blocking(&self, frame: T) -> bool {
-        match &self.engine {
-            Engine::Locked { state, space, data } => {
-                let mut guard = relock(state.lock());
-                let mut frame = frame;
-                let drops_before = guard.drops();
-                let mut waited = false;
-                loop {
-                    match guard.try_publish(frame) {
-                        TryPublish::Accepted => {
-                            data.notify_one();
-                            self.end_wait(waited, names::WAIT_SPACE);
-                            self.record_drop(guard.drops() - drops_before);
-                            return true;
-                        }
-                        TryPublish::Closed => {
-                            self.end_wait(waited, names::WAIT_SPACE);
-                            return false;
-                        }
-                        TryPublish::MustWait(returned) => {
-                            frame = returned;
-                            if !waited {
-                                waited = true;
-                                self.begin_wait(names::WAIT_SPACE);
-                            }
-                            guard = relock(space.wait(guard));
-                        }
-                    }
-                }
-            }
-            #[cfg(feature = "lockfree-swap")]
-            Engine::Lockfree(q) => {
-                let published =
-                    q.publish_blocking_with(frame, || self.begin_wait(names::WAIT_SPACE));
-                self.end_wait(published.waited, names::WAIT_SPACE);
-                if published.accepted {
-                    self.record_drop(published.dropped);
-                }
-                published.accepted
-            }
+        let published = self
+            .swap
+            .publish_blocking_with(frame, || self.begin_wait(names::WAIT_SPACE));
+        self.end_wait(published.waited, names::WAIT_SPACE);
+        if published.accepted {
+            self.record_drop(published.dropped);
         }
+        published.accepted
     }
 
     /// One non-blocking publish transition: `MustWait` hands the frame
     /// back instead of parking. Emits no wait spans (nothing waits);
     /// drop instants are still recorded.
     pub fn try_publish(&self, frame: T) -> TryPublish<T> {
-        match &self.engine {
-            Engine::Locked { state, data, .. } => {
-                let mut guard = relock(state.lock());
-                let drops_before = guard.drops();
-                let outcome = guard.try_publish(frame);
-                if matches!(outcome, TryPublish::Accepted) {
-                    data.notify_one();
-                    self.record_drop(guard.drops() - drops_before);
-                }
-                outcome
-            }
-            #[cfg(feature = "lockfree-swap")]
-            Engine::Lockfree(q) => {
-                let drops_before = q.drops();
-                let outcome = q.try_publish(frame);
-                if matches!(outcome, TryPublish::Accepted) {
-                    // Single-producer contract: no publish raced this
-                    // one, so the counter delta is this call's drops.
-                    self.record_drop(q.drops() - drops_before);
-                }
-                outcome
-            }
+        let drops_before = self.swap.drops();
+        let outcome = self.swap.try_publish(frame);
+        if matches!(outcome, TryPublish::Accepted) {
+            // Single-producer contract: no publish raced this one, so
+            // the counter delta is this call's drops.
+            self.record_drop(self.swap.drops() - drops_before);
         }
+        outcome
     }
 
     /// Pops the oldest frame, blocking while the buffer is empty. Returns
     /// `None` once the queue is closed *and* drained.
     pub fn pop_blocking(&self) -> Option<T> {
-        match &self.engine {
-            Engine::Locked { state, space, data } => {
-                let mut guard = relock(state.lock());
-                let mut waited = false;
-                loop {
-                    match guard.try_pop() {
-                        TryPop::Frame(frame) => {
-                            space.notify_one();
-                            self.end_wait(waited, names::WAIT_DATA);
-                            return Some(frame);
-                        }
-                        TryPop::Drained => {
-                            self.end_wait(waited, names::WAIT_DATA);
-                            return None;
-                        }
-                        TryPop::MustWait => {
-                            if !waited {
-                                waited = true;
-                                self.begin_wait(names::WAIT_DATA);
-                            }
-                            guard = relock(data.wait(guard));
-                        }
-                    }
-                }
-            }
-            #[cfg(feature = "lockfree-swap")]
-            Engine::Lockfree(q) => {
-                let (frame, waited) = q.pop_blocking_with(|| self.begin_wait(names::WAIT_DATA));
-                self.end_wait(waited, names::WAIT_DATA);
-                frame
-            }
-        }
+        let (frame, waited) = self
+            .swap
+            .pop_blocking_with(|| self.begin_wait(names::WAIT_DATA));
+        self.end_wait(waited, names::WAIT_DATA);
+        frame
     }
 
     /// Attempts to pop without blocking.
     pub fn try_pop(&self) -> Option<T> {
-        match self.try_pop_outcome() {
-            TryPop::Frame(frame) => Some(frame),
-            TryPop::Drained | TryPop::MustWait => None,
-        }
+        self.swap.try_pop()
     }
 
     /// One non-blocking pop transition with the protocol's full
-    /// vocabulary (`Drained` vs `MustWait`), for differential testing
-    /// of the two engines.
+    /// vocabulary (`Drained` vs `MustWait`).
     pub fn try_pop_outcome(&self) -> TryPop<T> {
-        match &self.engine {
-            Engine::Locked { state, space, .. } => {
-                let mut guard = relock(state.lock());
-                let outcome = guard.try_pop();
-                if matches!(outcome, TryPop::Frame(_)) {
-                    space.notify_one();
-                }
-                outcome
-            }
-            #[cfg(feature = "lockfree-swap")]
-            Engine::Lockfree(q) => q.try_pop_outcome(),
-        }
+        self.swap.try_pop_outcome()
     }
 
     /// Priority publish: flushes every pending (obsolete) frame and stores
     /// this one, never blocking. Returns the number of frames flushed, or
-    /// `None` if the queue was closed. On the lock-free engine this must
-    /// be called from the producer thread.
+    /// `None` if the queue was closed. Must be called from the producer
+    /// thread.
     pub fn publish_priority(&self, frame: T) -> Option<usize> {
-        let flushed = match &self.engine {
-            Engine::Locked { state, space, data } => {
-                let mut guard = relock(state.lock());
-                let flushed = guard.try_publish_priority(frame)?;
-                data.notify_one();
-                space.notify_one();
-                flushed
-            }
-            #[cfg(feature = "lockfree-swap")]
-            Engine::Lockfree(q) => q.publish_priority(frame)?,
-        };
+        let flushed = self.swap.publish_priority(frame)?;
         if flushed > 0 {
             if let Some(obs) = &self.obs {
                 obs.record(
@@ -434,51 +244,33 @@ impl<T> SyncQueue<T> {
     }
 
     /// Closes the queue: producers stop, consumers drain then get `None`.
+    /// Callable from any thread.
     pub fn close(&self) {
-        match &self.engine {
-            Engine::Locked { state, space, data } => {
-                let mut guard = relock(state.lock());
-                guard.close();
-                data.notify_all();
-                space.notify_all();
-            }
-            #[cfg(feature = "lockfree-swap")]
-            Engine::Lockfree(q) => q.close(),
-        }
+        self.swap.close();
     }
 
     /// Returns `true` if the queue has been closed.
     #[must_use]
     pub fn is_closed(&self) -> bool {
-        match &self.engine {
-            Engine::Locked { state, .. } => relock(state.lock()).is_closed(),
-            #[cfg(feature = "lockfree-swap")]
-            Engine::Lockfree(q) => q.is_closed(),
-        }
+        self.swap.is_closed()
     }
 
     /// Total frames dropped by overwrites or priority flushes.
     #[must_use]
     pub fn drops(&self) -> u64 {
-        match &self.engine {
-            Engine::Locked { state, .. } => relock(state.lock()).drops(),
-            #[cfg(feature = "lockfree-swap")]
-            Engine::Lockfree(q) => q.drops(),
-        }
+        self.swap.drops()
     }
 
-    /// Current number of pending frames (advisory on the lock-free
-    /// engine, exact on the locked one).
+    /// Current number of pending frames. Exact when no other thread is
+    /// mid-operation; advisory under concurrency, because head and tail
+    /// are loaded separately.
     #[must_use]
     pub fn len(&self) -> usize {
-        match &self.engine {
-            Engine::Locked { state, .. } => relock(state.lock()).len(),
-            #[cfg(feature = "lockfree-swap")]
-            Engine::Lockfree(q) => q.len(),
-        }
+        self.swap.len()
     }
 
-    /// Returns `true` if no frames are pending.
+    /// Returns `true` if no frames are pending (advisory, see
+    /// [`SyncQueue::len`]).
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -521,37 +313,6 @@ mod tests {
         // Only the most recent frame survives.
         assert_eq!(q.try_pop(), Some(99));
         assert_eq!(q.drops(), 99);
-    }
-
-    #[cfg(feature = "lockfree-swap")]
-    #[test]
-    fn default_overwriting_queue_is_lockfree() {
-        assert!(SyncQueue::<u8>::new_overwriting(1).uses_lockfree());
-        assert!(!SyncQueue::<u8>::new_blocking(1).uses_lockfree());
-        assert!(!SyncQueue::<u8>::new_locked(1, FullPolicy::Overwrite).uses_lockfree());
-        assert!(SyncQueue::<u8>::new_lockfree(1, FullPolicy::Block).uses_lockfree());
-    }
-
-    #[cfg(feature = "lockfree-swap")]
-    #[test]
-    fn lockfree_blocking_queue_transfers_in_order() {
-        let q = Arc::new(SyncQueue::new_lockfree(2, FullPolicy::Block));
-        let producer = {
-            let q = Arc::clone(&q);
-            thread::spawn(move || {
-                for i in 0..10_000u32 {
-                    assert!(q.publish_blocking(i));
-                }
-                q.close();
-            })
-        };
-        let mut expected = 0u32;
-        while let Some(v) = q.pop_blocking() {
-            assert_eq!(v, expected);
-            expected += 1;
-        }
-        assert_eq!(expected, 10_000);
-        producer.join().expect("producer");
     }
 
     #[test]
@@ -607,42 +368,13 @@ mod tests {
 
     #[test]
     fn try_publish_hands_frame_back_when_full() {
-        for q in [
-            SyncQueue::new_locked(1, FullPolicy::Block),
-            #[cfg(feature = "lockfree-swap")]
-            SyncQueue::new_lockfree(1, FullPolicy::Block),
-        ] {
-            assert_eq!(q.try_publish(1u8), TryPublish::Accepted);
-            assert_eq!(q.try_publish(2), TryPublish::MustWait(2));
-            assert_eq!(q.try_pop_outcome(), TryPop::Frame(1));
-            assert_eq!(q.try_pop_outcome(), TryPop::MustWait);
-            q.close();
-            assert_eq!(q.try_pop_outcome(), TryPop::Drained);
-        }
-    }
-
-    #[test]
-    fn poisoned_lock_does_not_wedge_the_queue() {
-        let q = Arc::new(SyncQueue::new_blocking(2));
-        let poisoner = {
-            let q = Arc::clone(&q);
-            thread::spawn(move || {
-                match &q.engine {
-                    Engine::Locked { state, .. } => {
-                        let _guard = relock(state.lock());
-                        panic!("poison the mutex on purpose");
-                    }
-                    #[cfg(feature = "lockfree-swap")]
-                    Engine::Lockfree(_) => unreachable!("blocking queues use the locked engine"),
-                }
-            })
-        };
-        assert!(poisoner.join().is_err());
-        // All entry points still work on the poisoned mutex.
-        assert!(q.publish_blocking(5u8));
-        assert_eq!(q.pop_blocking(), Some(5));
+        let q = SyncQueue::new_blocking(1);
+        assert_eq!(q.try_publish(1u8), TryPublish::Accepted);
+        assert_eq!(q.try_publish(2), TryPublish::MustWait(2));
+        assert_eq!(q.try_pop_outcome(), TryPop::Frame(1));
+        assert_eq!(q.try_pop_outcome(), TryPop::MustWait);
         q.close();
-        assert_eq!(q.pop_blocking(), None);
+        assert_eq!(q.try_pop_outcome(), TryPop::Drained);
     }
 
     #[test]

@@ -83,38 +83,6 @@ cargo build --release -p odr-bench --no-default-features
 cargo test -q -p odr-obs
 cargo test -q -p odr-obs --no-default-features
 
-echo "== lock-free swap feature matrix =="
-# The lockfree-swap engine is default-on; odr-core's suite (including
-# the locked-vs-lockfree differential property test) must pass with the
-# feature on, and every queue must fall back to the mutex/condvar
-# engine with it off.
-cargo test -q -p odr-core
-cargo test -q -p odr-core --no-default-features --features obs
-
-echo "== swap hand-off latency (locked vs lock-free) =="
-cargo run --release -q -p odr-bench --bin swap_latency
-
-echo "== lock-free swap determinism differential (feature on vs off) =="
-# Routing the overwrite fast path through the lock-free engine must not
-# change a single byte of the rendered report: same sessions, same
-# seed, engine on vs engine compiled out.
-out_lf_on="$(mktemp)"
-out_lf_off="$(mktemp)"
-cargo run --release -q -p odr-bench --bin odrsim -- \
-    --benchmark IM --regulation odr --target 60 --duration 5 --seed 42 \
-    --sessions 8 --threads 2 >"$out_lf_on" 2>/dev/null
-cargo run --release -q -p odr-bench --no-default-features --features obs \
-    --bin odrsim -- \
-    --benchmark IM --regulation odr --target 60 --duration 5 --seed 42 \
-    --sessions 8 --threads 2 >"$out_lf_off" 2>/dev/null
-if ! cmp -s "$out_lf_on" "$out_lf_off"; then
-    echo "lock-free swap differential FAILED: feature on vs off differ" >&2
-    diff "$out_lf_on" "$out_lf_off" | head -20 >&2
-    exit 1
-fi
-rm -f "$out_lf_on" "$out_lf_off"
-echo "report identical with lockfree-swap on vs off"
-
 echo "== fleet determinism differential (1 thread vs all cores) =="
 # The fleet engine promises byte-identical reports regardless of worker
 # count. Exercise that promise end-to-end through the odrsim CLI: same
@@ -241,8 +209,7 @@ cargo run --release -q -p odr-bench --bin cluster_scaling
 echo "== serving surface: wire property suite + feature matrix =="
 # The wire-format property suite (round-trips, truncation, corruption,
 # hostile length prefixes) runs in the default build; the serving stack
-# must also build and pass with obs capture and the lock-free engine
-# compiled out.
+# must also build and pass with obs capture compiled out.
 cargo test -q -p odr-serve
 cargo test -q -p odr-serve --no-default-features
 cargo test -q -p odr-client
