@@ -131,6 +131,38 @@ fn admission_rejects_beyond_the_session_cap() {
     assert_eq!(report.rejected, 1);
 }
 
+#[test]
+fn rejection_reason_carries_the_admission_prefix_once() {
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServeConfig {
+            max_sessions: 0,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind");
+    let refused = run_client(&ClientConfig {
+        connect: server.addr().to_string(),
+        session: small_session(Regulation::Odr {
+            target_fps: Some(30.0),
+        }),
+        duration: Duration::from_millis(300),
+        input_rate_hz: 0.0,
+        seed: 3,
+    });
+    let err = refused.expect_err("a zero-session server admits nobody");
+    assert!(matches!(err, OdrError::Admission { .. }), "{err}");
+    let text = err.to_string();
+    assert_eq!(
+        text.matches("admission rejected").count(),
+        1,
+        "prefix doubled: {text}"
+    );
+    assert_eq!(text, "admission rejected: server at session cap 0");
+    let report = server.shutdown().expect("server drain");
+    assert_eq!((report.admitted, report.rejected), (0, 1));
+}
+
 /// The acceptance bar from the issue: a real, uncontended ODR60 session
 /// must land within a stated tolerance of the simulator's prediction
 /// for the same regulation.

@@ -87,6 +87,11 @@ pub struct Encoder {
     iframe_interval: u32,
     frames: u64,
     reference: Option<Vec<u8>>,
+    /// Quantise buffer; trades places with `reference` after each frame
+    /// so steady-state encoding reuses both.
+    scratch: Vec<u8>,
+    /// Delta-coded payload buffer, reused across frames.
+    payload: Vec<u8>,
 }
 
 impl Encoder {
@@ -107,6 +112,8 @@ impl Encoder {
             iframe_interval: 120,
             frames: 0,
             reference: None,
+            scratch: Vec::new(),
+            payload: Vec::new(),
         }
     }
 
@@ -138,7 +145,9 @@ impl Encoder {
         // Quantise the whole frame up front; prediction happens in the
         // quantised domain so the decoder reconstructs exactly.
         let mask = !0u8 << self.quant_bits;
-        let quantised: Vec<u8> = rgba.iter().map(|&b| b & mask).collect();
+        let mut quantised = core::mem::take(&mut self.scratch);
+        quantised.clear();
+        quantised.extend(rgba.iter().map(|&b| b & mask));
 
         let blocks_x = div_ceil(self.width as usize, BLOCK);
         let blocks_y = div_ceil(self.height as usize, BLOCK);
@@ -177,18 +186,27 @@ impl Encoder {
 
         // Payload: concatenated delta-coded blocks, RLE compressed as one
         // stream.
-        let mut payload = Vec::new();
+        self.payload.clear();
         for by in 0..blocks_y {
             for bx in 0..blocks_x {
                 if changed[by * blocks_x + bx] {
-                    append_block_deltas(&mut payload, &quantised, self.width, self.height, bx, by);
+                    append_block_deltas(
+                        &mut self.payload,
+                        &quantised,
+                        self.width,
+                        self.height,
+                        bx,
+                        by,
+                    );
                 }
             }
         }
         write_varint(&mut data, blocks_coded.into());
-        rle_encode(&mut data, &payload);
+        rle_encode(&mut data, &self.payload);
 
-        self.reference = Some(quantised);
+        // The new frame becomes the reference; the old reference is the
+        // next frame's quantise buffer.
+        self.scratch = self.reference.replace(quantised).unwrap_or_default();
         EncodedFrame {
             kind: if force_intra {
                 FrameKind::Intra
@@ -204,6 +222,15 @@ impl Encoder {
     #[must_use]
     pub fn frames_encoded(&self) -> u64 {
         self.frames
+    }
+
+    /// The last frame as the decoder reconstructs it: the source after
+    /// quantisation, `None` before the first encode. A PSNR reference
+    /// for the decoded stream that needs no second copy of the
+    /// quantisation rule.
+    #[must_use]
+    pub fn reference(&self) -> Option<&[u8]> {
+        self.reference.as_deref()
     }
 }
 
@@ -355,13 +382,11 @@ fn append_block_deltas(
     let x1 = ((bx + 1) * BLOCK * 4).min(w * 4);
     for y in by * BLOCK..y1 {
         let row = y * w * 4;
-        let mut prev = [0u8; 4];
-        for px in (row + x0..row + x1).step_by(4) {
-            for c in 0..4 {
-                out.push(frame[px + c].wrapping_sub(prev[c]));
-                prev[c] = frame[px + c];
-            }
-        }
+        let src = &frame[row + x0..row + x1];
+        // The first pixel against zero, every later byte against the
+        // same channel one pixel to the left.
+        out.extend_from_slice(&src[..4]);
+        out.extend(src[4..].iter().zip(src).map(|(&b, &a)| b.wrapping_sub(a)));
     }
 }
 
@@ -433,6 +458,20 @@ mod tests {
         let expect: Vec<u8> = frame.iter().map(|&b| b & mask).collect();
         assert_eq!(decoded, expect);
         assert!(psnr(&frame, &decoded) > 30.0);
+    }
+
+    #[test]
+    fn reference_is_the_decoders_reconstruction() {
+        let frame = gradient_frame(48, 32);
+        let mut enc = Encoder::new(48, 32, 3).with_iframe_interval(3);
+        let mut dec = Decoder::new(48, 32);
+        assert!(enc.reference().is_none());
+        // Intra and predicted frames alike, through the swapped buffers.
+        for step in 0..5u8 {
+            let shifted: Vec<u8> = frame.iter().map(|&b| b.wrapping_add(step * 37)).collect();
+            let decoded = dec.decode(&enc.encode(&shifted).data).expect("decode");
+            assert_eq!(enc.reference(), Some(decoded.as_slice()), "frame {step}");
+        }
     }
 
     #[test]

@@ -156,6 +156,39 @@ mod tests {
         assert!(b > a * 3);
     }
 
+    /// `(width, height, camera yaw, time, checksum, pixels filled)` of
+    /// the serving default scene, `Scene::new(12, 14)`, as rendered by
+    /// the bounding-box fill that walked every pixel of each triangle's
+    /// box. The span/lane fill must reproduce them bit for bit.
+    const GOLDENS: [(u32, u32, f32, f32, u64, u64); 12] = [
+        (160, 96, 0.0, 0.0, 0xcd20_a1a2_02e6_603a, 8_661),
+        (160, 96, 0.0, 1.75, 0x4052_f478_9252_1d1f, 8_760),
+        (160, 96, 0.0, 3.5, 0x6a2c_fa45_fff7_6852, 8_502),
+        (160, 96, 0.0, 5.25, 0xac63_c47e_1966_445e, 8_254),
+        (160, 96, 1.3, 0.0, 0x8690_b83d_26af_13e7, 8_108),
+        (160, 96, 1.3, 1.75, 0x5cd4_d557_892e_92a9, 8_445),
+        (160, 96, 1.3, 3.5, 0x9de3_bfec_28d9_83df, 8_175),
+        (160, 96, 1.3, 5.25, 0x5689_1aae_75a5_5976, 7_584),
+        (1280, 720, 0.0, 0.0, 0x3310_4c19_e1e1_b93c, 491_813),
+        (1280, 720, 0.0, 1.75, 0xfe0d_707d_b54f_5a74, 498_770),
+        (1280, 720, 1.3, 3.5, 0x9b0d_1f82_8b87_9af5, 468_838),
+        (1280, 720, 1.3, 5.25, 0x1082_5c36_70d4_000d, 427_731),
+    ];
+
+    #[test]
+    fn serve_scene_matches_bounding_box_goldens() {
+        for (width, height, yaw, t, checksum, filled) in GOLDENS {
+            let mut scene = Scene::new(12, 14);
+            scene.camera_yaw = yaw;
+            let mut fb = Framebuffer::new(width, height);
+            let mut r = Rasterizer::new();
+            scene.render(&mut r, &mut fb, t);
+            let at = format!("{width}x{height} yaw={yaw} t={t}");
+            assert_eq!(fb.checksum(), checksum, "framebuffer at {at}");
+            assert_eq!(r.pixels_filled(), filled, "pixels filled at {at}");
+        }
+    }
+
     #[test]
     fn scene_draws_something() {
         let s = Scene::new(8, 0);

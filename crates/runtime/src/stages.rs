@@ -18,6 +18,10 @@
 //! the Algorithm 1 regulator in the proxy, `PriorityFrame` flushes, and
 //! the drop accounting on the queues.
 //!
+//! Pixel buffers circulate: the app stage converts each frame into a
+//! buffer the proxy handed back through [`MulBuf1::spare`], and
+//! allocates only when none is waiting.
+//!
 //! [`System`]: crate::System
 
 use std::{
@@ -29,7 +33,7 @@ use std::{
     time::{Duration, Instant},
 };
 
-use odr_core::{FpsRegulator, PriorityGate, SyncQueue};
+use odr_core::{FpsRegulator, PriorityGate, QueueObs, SyncQueue};
 use odr_obs::{names, track, Event as ObsEvent, MonoClock, NullRecorder, Recorder, RingRecorder};
 use odr_raster::{Framebuffer, Rasterizer, Scene};
 
@@ -57,6 +61,42 @@ pub struct RawFrame<T> {
     pub rgba: Vec<u8>,
 }
 
+/// Mul-Buf1, the app→proxy multi-buffer, with the return path that
+/// carries each consumed frame's pixel buffer back to the app stage.
+pub struct MulBuf1<T> {
+    /// Rendered frames: Block policy under ODR, Overwrite otherwise.
+    pub frames: Arc<SyncQueue<RawFrame<T>>>,
+    /// Pixel buffers the proxy has encoded, waiting for the app stage to
+    /// fill them again. It holds one; a second return replaces it, so the
+    /// pool never outgrows the frames in flight.
+    pub spare: Arc<SyncQueue<Vec<u8>>>,
+}
+
+impl<T> MulBuf1<T> {
+    /// Creates the queue pair for `regulation`, observed through `obs`.
+    #[must_use]
+    pub fn new(regulation: Regulation, obs: QueueObs) -> Self {
+        let frames = if matches!(regulation, Regulation::Odr { .. }) {
+            SyncQueue::new_blocking(1)
+        } else {
+            SyncQueue::new_overwriting(1)
+        };
+        MulBuf1 {
+            frames: Arc::new(frames.with_obs(obs)),
+            spare: Arc::new(SyncQueue::new_overwriting(1)),
+        }
+    }
+}
+
+impl<T> Clone for MulBuf1<T> {
+    fn clone(&self) -> Self {
+        MulBuf1 {
+            frames: Arc::clone(&self.frames),
+            spare: Arc::clone(&self.spare),
+        }
+    }
+}
+
 /// An encoded frame leaving the proxy stage, bound for a transport
 /// (in-process channel or socket).
 pub struct EncodedFrame<T> {
@@ -68,8 +108,9 @@ pub struct EncodedFrame<T> {
     pub priority: bool,
     /// Encoded payload bytes.
     pub data: Vec<u8>,
-    /// The quantised source, kept for PSNR accounting when the transport
-    /// asked for it ([`ProxyStage::keep_source`]); empty otherwise.
+    /// The encoder's reconstruction of the frame, kept for PSNR
+    /// accounting when the transport asked for it
+    /// ([`ProxyStage::keep_source`]); empty otherwise.
     pub source: Vec<u8>,
 }
 
@@ -93,8 +134,8 @@ pub struct AppStage<T> {
     /// rides the frame (senders stamp in arrival order, so the first is
     /// the oldest).
     pub input_rx: mpsc::Receiver<T>,
-    /// The app→proxy multi-buffer (Mul-Buf1).
-    pub out: Arc<SyncQueue<RawFrame<T>>>,
+    /// The app→proxy multi-buffer (Mul-Buf1) and its buffer return.
+    pub out: MulBuf1<T>,
     /// Incremented once per rendered frame.
     pub rendered: Arc<AtomicU64>,
     /// Incremented once per PriorityFrame flush.
@@ -170,19 +211,21 @@ pub fn spawn_app_stage<T: Send + 'static>(stage: AppStage<T>) -> JoinHandle<()> 
                 recorder
                     .record(ObsEvent::end(clock.now_ns(), track::APP, names::RENDER).with_id(seq));
             }
+            let mut rgba = out.spare.try_pop().unwrap_or_default();
+            fb.write_rgba(&mut rgba);
             let frame = RawFrame {
                 seq,
                 tag: oldest,
-                rgba: fb.bytes(),
+                rgba,
             };
             seq += 1;
             rendered.fetch_add(1, Ordering::Relaxed);
 
             let alive = if is_priority {
                 priority_frames.fetch_add(1, Ordering::Relaxed);
-                out.publish_priority(frame).is_some()
+                out.frames.publish_priority(frame).is_some()
             } else {
-                out.publish_blocking(frame)
+                out.frames.publish_blocking(frame)
             };
             if !alive {
                 break;
@@ -201,13 +244,14 @@ pub struct ProxyStage<T> {
     pub quant_bits: u8,
     /// Regulation under test (the Algorithm 1 regulator runs here).
     pub regulation: Regulation,
-    /// Keep the quantised source alongside the payload so the consumer
-    /// can compute PSNR. The in-process client wants it; a socket
-    /// transport does not (the bytes never cross the wire), so turning
-    /// it off skips a full-frame copy per encode.
+    /// Keep the encoder's reconstruction alongside the payload so the
+    /// consumer can compute PSNR. The in-process client wants it; a
+    /// socket transport does not (the bytes never cross the wire), so
+    /// turning it off skips a full-frame copy per encode.
     pub keep_source: bool,
-    /// The app→proxy multi-buffer (Mul-Buf1).
-    pub input: Arc<SyncQueue<RawFrame<T>>>,
+    /// The app→proxy multi-buffer (Mul-Buf1); each encoded frame's
+    /// pixel buffer goes back through its spare queue.
+    pub input: MulBuf1<T>,
     /// The proxy→transport multi-buffer (Mul-Buf2); closed when the
     /// stage exits.
     pub output: Arc<SyncQueue<EncodedFrame<T>>>,
@@ -248,7 +292,7 @@ pub fn spawn_proxy_stage<T: Send + 'static>(stage: ProxyStage<T>) -> JoinHandle<
             } => FpsRegulator::new(fps).with_max_debt(30.0),
             _ => FpsRegulator::unlimited(),
         };
-        while let Some(raw) = input.pop_blocking() {
+        while let Some(raw) = input.frames.pop_blocking() {
             let cycle_start = Instant::now();
             if recorder.enabled() {
                 recorder.record(
@@ -262,11 +306,11 @@ pub fn spawn_proxy_stage<T: Send + 'static>(stage: ProxyStage<T>) -> JoinHandle<
                 );
             }
             encoded.fetch_add(1, Ordering::Relaxed);
-            let source: Vec<u8> = if keep_source {
-                let mask = !0u8 << quant_bits;
-                raw.rgba.iter().map(|&b| b & mask).collect()
-            } else {
-                Vec::new()
+            // The app stage fills this buffer again for a later frame.
+            let _ = input.spare.try_publish(raw.rgba);
+            let source = match encoder.reference() {
+                Some(reconstructed) if keep_source => reconstructed.to_vec(),
+                _ => Vec::new(),
             };
             let priority = raw.tag.is_some();
             let wire = EncodedFrame {

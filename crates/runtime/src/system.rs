@@ -15,7 +15,7 @@ use odr_obs::{names, track, Drained, Event as ObsEvent, MonoClock, ObsReport};
 
 use crate::report::RuntimeReport;
 use crate::stages::{
-    make_recorder, spawn_app_stage, spawn_proxy_stage, AppStage, EncodedFrame, ProxyStage, RawFrame,
+    make_recorder, spawn_app_stage, spawn_proxy_stage, AppStage, EncodedFrame, MulBuf1, ProxyStage,
 };
 
 /// Locks a metrics mutex, recovering from poison: these mutexes guard
@@ -144,19 +144,14 @@ impl System {
         let rec_client = make_recorder(cfg.obs);
         let rec_queues = make_recorder(cfg.obs);
 
-        let odr = matches!(cfg.regulation, Regulation::Odr { .. });
-        let buf1: Arc<SyncQueue<RawFrame<Instant>>> = {
-            let queue = if odr {
-                SyncQueue::new_blocking(1)
-            } else {
-                SyncQueue::new_overwriting(1)
-            };
-            Arc::new(queue.with_obs(QueueObs {
+        let buf1: MulBuf1<Instant> = MulBuf1::new(
+            cfg.regulation,
+            QueueObs {
                 recorder: Arc::clone(&rec_queues),
                 track: track::BUF1,
                 clock,
-            }))
-        };
+            },
+        );
         let buf2: Arc<SyncQueue<EncodedFrame<Instant>>> =
             Arc::new(SyncQueue::new_blocking(1).with_obs(QueueObs {
                 recorder: Arc::clone(&rec_queues),
@@ -186,7 +181,7 @@ impl System {
             start,
             stop: Arc::clone(&stop),
             input_rx,
-            out: Arc::clone(&buf1),
+            out: buf1.clone(),
             rendered: Arc::clone(&rendered),
             priority_frames: Arc::clone(&priority_n),
             recorder: Arc::clone(&rec_app),
@@ -200,7 +195,7 @@ impl System {
             quant_bits: cfg.quant_bits,
             regulation: cfg.regulation,
             keep_source: true,
-            input: Arc::clone(&buf1),
+            input: buf1.clone(),
             output: Arc::clone(&buf2),
             encoded: Arc::clone(&encoded_n),
             recorder: Arc::clone(&rec_proxy),
@@ -303,7 +298,7 @@ impl System {
 
         // --- Shutdown ----------------------------------------------------
         stop.store(true, Ordering::Relaxed);
-        buf1.close();
+        buf1.frames.close();
         for (name, handle) in [("app", app), ("proxy", proxy), ("network", net)] {
             if handle.join().is_err() {
                 return Err(OdrError::thread(name, "panicked"));
@@ -339,7 +334,7 @@ impl System {
             frames_rendered: rendered.load(Ordering::Relaxed),
             frames_encoded: encoded_n.load(Ordering::Relaxed),
             frames_displayed: displayed.load(Ordering::Relaxed),
-            frames_dropped: buf1.drops() + buf2.drops(),
+            frames_dropped: buf1.frames.drops() + buf2.drops(),
             priority_frames: priority_n.load(Ordering::Relaxed),
             inputs: inputs_n.load(Ordering::Relaxed),
             mtp_ms: Arc::try_unwrap(mtp)

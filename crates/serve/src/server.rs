@@ -326,12 +326,13 @@ fn serve_connection(
         Ok(info) => info,
         Err(e) => {
             shared.rejected.fetch_add(1, Ordering::Relaxed);
-            let _ = write_message(
-                &mut stream,
-                &Message::Reject {
-                    reason: e.to_string(),
-                },
-            );
+            // The client wraps the reason in its own admission error, so
+            // it travels without the "admission rejected" prefix.
+            let reason = match e {
+                OdrError::Admission { reason } => reason,
+                other => other.to_string(),
+            };
+            let _ = write_message(&mut stream, &Message::Reject { reason });
             let _ = stream.shutdown(Shutdown::Both);
             return;
         }

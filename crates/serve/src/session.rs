@@ -37,10 +37,9 @@ use std::time::{Duration, Instant};
 use odr_core::{OdrError, OdrResult, QueueObs, SyncQueue};
 use odr_obs::{track, MonoClock};
 use odr_runtime::stages::{
-    make_recorder, spawn_app_stage, spawn_proxy_stage, AppStage, EncodedFrame, ProxyStage,
+    make_recorder, spawn_app_stage, spawn_proxy_stage, AppStage, EncodedFrame, MulBuf1, ProxyStage,
     RawFrame,
 };
-use odr_runtime::Regulation;
 
 use crate::telemetry::Telemetry;
 use crate::wire::{
@@ -175,19 +174,14 @@ pub fn run_session(
         tele.register(Arc::clone(&rec_queues));
     }
 
-    let odr = matches!(cfg.regulation, Regulation::Odr { .. });
-    let buf1: Arc<SyncQueue<RawFrame<InputEvent>>> = {
-        let queue = if odr {
-            SyncQueue::new_blocking(1)
-        } else {
-            SyncQueue::new_overwriting(1)
-        };
-        Arc::new(queue.with_obs(QueueObs {
+    let buf1: MulBuf1<InputEvent> = MulBuf1::new(
+        cfg.regulation,
+        QueueObs {
             recorder: Arc::clone(&rec_queues),
             track: track::BUF1,
             clock,
-        }))
-    };
+        },
+    );
     let buf2: Arc<SyncQueue<EncodedFrame<InputEvent>>> =
         Arc::new(SyncQueue::new_blocking(1).with_obs(QueueObs {
             recorder: Arc::clone(&rec_queues),
@@ -203,7 +197,7 @@ pub fn run_session(
     let inputs_n = Arc::new(AtomicU64::new(0));
 
     let reader: JoinHandle<()> = {
-        let buf1 = Arc::clone(&buf1);
+        let buf1 = Arc::clone(&buf1.frames);
         let inputs_n = Arc::clone(&inputs_n);
         let session_stop = Arc::clone(&session_stop);
         let server_stop = Arc::clone(&server_stop);
@@ -228,7 +222,7 @@ pub fn run_session(
         start,
         stop: Arc::clone(&session_stop),
         input_rx,
-        out: Arc::clone(&buf1),
+        out: buf1.clone(),
         rendered: Arc::clone(&rendered),
         priority_frames: Arc::clone(&priority_n),
         recorder: Arc::clone(&rec_app),
@@ -240,7 +234,7 @@ pub fn run_session(
         quant_bits: cfg.quant_bits,
         regulation: cfg.regulation,
         keep_source: false, // PSNR sources never cross the wire
-        input: Arc::clone(&buf1),
+        input: buf1.clone(),
         output: Arc::clone(&buf2),
         encoded: Arc::clone(&encoded),
         recorder: Arc::clone(&rec_proxy),
@@ -274,7 +268,7 @@ pub fn run_session(
 
     // --- Shutdown cascade ---------------------------------------------
     session_stop.store(true, Ordering::Relaxed);
-    buf1.close();
+    buf1.frames.close();
     for (name, handle) in [("app", app), ("proxy", proxy)] {
         if handle.join().is_err() {
             return Err(OdrError::thread(name, "panicked"));
@@ -289,7 +283,7 @@ pub fn run_session(
         frames_rendered: rendered.load(Ordering::Relaxed),
         frames_encoded: encoded.load(Ordering::Relaxed),
         frames_sent,
-        frames_dropped: buf1.drops() + buf2.drops(),
+        frames_dropped: buf1.frames.drops() + buf2.drops(),
         priority_frames: priority_n.load(Ordering::Relaxed),
         inputs: inputs_n.load(Ordering::Relaxed),
         bytes_sent,

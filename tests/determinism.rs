@@ -109,3 +109,29 @@ fn rasterizer_is_bit_exact_across_runs() {
     };
     assert_eq!(render(), render());
 }
+
+/// The serving scene's frames, converted through a recycled RGBA buffer
+/// and encoded with a reused encoder, must produce the same bitstream
+/// the allocate-per-frame path produced: the FNV-1a hash below was taken
+/// from that path (12 frames at 30 fps, I-frame every 5, 2 bits dropped).
+#[test]
+fn frame_path_bitstream_matches_golden() {
+    use cloud3d_odr::codec::Encoder;
+    use cloud3d_odr::raster::{Framebuffer, Rasterizer, Scene};
+    let scene = Scene::new(12, 14);
+    let mut raster = Rasterizer::new();
+    let mut fb = Framebuffer::new(160, 96);
+    let mut encoder = Encoder::new(160, 96, 2).with_iframe_interval(5);
+    let mut rgba = Vec::new();
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for i in 0..12 {
+        scene.render(&mut raster, &mut fb, i as f32 / 30.0);
+        fb.write_rgba(&mut rgba);
+        assert_eq!(rgba, fb.bytes());
+        for b in encoder.encode(&rgba).data {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    assert_eq!(hash, 0x4747_8d40_afbd_7038);
+}
