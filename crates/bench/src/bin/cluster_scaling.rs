@@ -5,7 +5,8 @@
 //! efficiency claim at cluster scale: removing excessive rendering
 //! lets the same hardware serve measurably more sessions.
 //!
-//! Also sweeps the three placement policies under ODR, re-checks that
+//! Also sweeps the three placement policies over the paper's policy mix
+//! (on a single-policy mix they place identically), re-checks that
 //! the ODR run is byte-identical on 1 and 8 worker threads, times the
 //! analytic-fidelity replay of the same pool (identical control plane,
 //! synthetic measurement), and writes `BENCH_cluster.json` (fidelity
@@ -26,8 +27,8 @@ const NODES: u32 = 4;
 const ARRIVAL_RATE: f64 = 1.0;
 const HORIZON_SECS: u64 = 120;
 
-fn pool(spec: RegulationSpec, placement: PlacementKind, threads: usize) -> ClusterConfig {
-    let churn = ChurnConfig::new(ARRIVAL_RATE, PolicyMix::uniform(spec));
+fn pool(mix: PolicyMix, placement: PlacementKind, threads: usize) -> ClusterConfig {
+    let churn = ChurnConfig::new(ARRIVAL_RATE, mix);
     ClusterConfig::builder(
         Scenario::new(Benchmark::InMind, Resolution::R720p, Platform::PrivateCloud),
         churn,
@@ -53,17 +54,22 @@ fn line(r: &ClusterReport) -> String {
 }
 
 fn main() {
-    let odr_spec = RegulationSpec::odr(FpsGoal::Target(60.0));
+    let odr60 = || PolicyMix::uniform(RegulationSpec::odr(FpsGoal::Target(60.0)));
 
     println!("cluster_scaling: {NODES} nodes, {ARRIVAL_RATE}/s arrivals, {HORIZON_SECS} s");
     println!("-- regulation gap at equal SLO (first-fit) --");
     // The ODR run measures its per-node sub-fleets so the JSON emission
     // below can report real frame counts; `report` is unaffected.
     let start = Instant::now();
-    let odr_run = run_cluster(&pool(odr_spec, PlacementKind::FirstFit, 1).with_measure(true));
+    let odr_run = run_cluster(&pool(odr60(), PlacementKind::FirstFit, 1).with_measure(true));
     let odr_wall_s = start.elapsed().as_secs_f64();
     let odr = odr_run.report;
-    let noreg = run_cluster(&pool(RegulationSpec::NoReg, PlacementKind::FirstFit, 1)).report;
+    let noreg = run_cluster(&pool(
+        PolicyMix::uniform(RegulationSpec::NoReg),
+        PlacementKind::FirstFit,
+        1,
+    ))
+    .report;
     println!("{}", line(&odr));
     println!("{}", line(&noreg));
     assert_eq!(odr.arrivals, noreg.arrivals, "arrival schedules must match");
@@ -76,18 +82,18 @@ fn main() {
          measured {admit_gain:.2}x / {goodput_gain:.2}x"
     );
 
-    println!("-- placement sweep under ODR --");
+    println!("-- placement sweep, paper policy mix --");
     for placement in [
         PlacementKind::FirstFit,
         PlacementKind::BestFit,
         PlacementKind::OdrAware,
     ] {
-        let r = run_cluster(&pool(odr_spec, placement, 1)).report;
+        let r = run_cluster(&pool(PolicyMix::paper(), placement, 1)).report;
         println!("{}", line(&r));
     }
 
-    let serial = run_cluster(&pool(odr_spec, PlacementKind::FirstFit, 1)).report;
-    let parallel = run_cluster(&pool(odr_spec, PlacementKind::FirstFit, 8)).report;
+    let serial = run_cluster(&pool(odr60(), PlacementKind::FirstFit, 1)).report;
+    let parallel = run_cluster(&pool(odr60(), PlacementKind::FirstFit, 8)).report;
     assert_eq!(
         serial.to_text(),
         parallel.to_text(),
@@ -101,7 +107,7 @@ fn main() {
     println!("-- analytic fidelity --");
     let start = Instant::now();
     let analytic_run = run_cluster(
-        &pool(odr_spec, PlacementKind::FirstFit, 1)
+        &pool(odr60(), PlacementKind::FirstFit, 1)
             .with_measure(true)
             .with_fidelity(FidelityMode::Analytic),
     );

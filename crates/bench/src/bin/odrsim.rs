@@ -62,8 +62,8 @@
 //!
 //! * `--listen <addr>` — bind address \[127.0.0.1:7401\]
 //! * `--max-sessions <n>` — resident-session cap \[8\]
-//! * `--exit-after <n>` — drain and report after n departures
-//!   (runs until killed when omitted)
+//! * `--exit-after <n>` — drain and report after n connections end,
+//!   departed or refused (runs until killed when omitted)
 //! * `--telemetry <path>` — stream live observability JSONL to `<path>`
 //!
 //! `--benchmark`/`--resolution`/`--platform` pick the scenario whose
@@ -205,7 +205,7 @@ fn write_trace(path: &str, format: TraceFormat, obs: &ObsReport) {
 }
 
 /// Binds the TCP serving surface and blocks until it drains (after
-/// `--exit-after` departures) or the process is killed.
+/// `--exit-after` ended connections) or the process is killed.
 fn run_serve(serve: &ServeArgs, experiment: &ExperimentConfig) {
     let cfg = ServeConfig {
         max_sessions: serve.max_sessions,
@@ -312,7 +312,7 @@ const USAGE: &str = "odrsim — simulate one cloud-3D configuration
   --serve                              serve mode: real TCP sessions + admission
   --listen <addr>                      serve bind address     [127.0.0.1:7401]
   --max-sessions <n>                   serve resident-session cap   [8]
-  --exit-after <n>                     serve: drain after n departures
+  --exit-after <n>                     serve: drain after n connections end
   --telemetry <path>                   serve: stream live obs JSONL to <path>
   --connect <addr>                     client mode: dial a server and replay
   --rate <hz>                          client mean input rate       [2]";

@@ -4,8 +4,8 @@
 //!
 //! Each `figNN_*` / `tabNN_*` function renders one experiment's rows as
 //! text, exactly the series the paper plots. The `repro` binary runs them
-//! all; the Criterion benches in `benches/` time the underlying simulations
-//! one experiment per bench target.
+//! all. Timing is not done here: `perfbench/` measures the stack per layer
+//! and end to end.
 
 pub mod ablation;
 pub mod emit;
@@ -35,7 +35,7 @@ impl Default for Settings {
 }
 
 impl Settings {
-    /// Short-run settings for Criterion benches and smoke tests.
+    /// Short-run settings for `repro --quick` and the smoke tests.
     #[must_use]
     pub fn quick() -> Self {
         Settings {

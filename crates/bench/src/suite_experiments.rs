@@ -23,19 +23,6 @@ pub fn run_full_suite(settings: &Settings) -> SuiteResult {
     )
 }
 
-/// A reduced grid for Criterion benches and smoke tests: one group, two
-/// benchmarks, short runs.
-#[must_use]
-pub fn run_reduced_suite(settings: &Settings) -> SuiteResult {
-    run_suite(
-        &[Benchmark::InMind, Benchmark::Imhotep],
-        &[Group::ALL[0]],
-        &[RegulationSpec::odr_no_priority(FpsGoal::Max)],
-        settings.duration,
-        settings.seed,
-    )
-}
-
 /// The per-group configuration labels, in the paper's plotting order.
 #[must_use]
 pub fn group_labels(group: Group) -> Vec<String> {

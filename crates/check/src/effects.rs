@@ -11,9 +11,10 @@
 //!   is indexing by an integer literal or the full range (`buf[0]`,
 //!   `buf[..]`).
 //! * [`Effect::Allocates`] — `Box::`/`Vec::`/`String::` constructor
-//!   paths, `vec!`/`format!`, and the owning method calls `.push()`,
-//!   `.collect()`, `.to_string()`, `.to_owned()`, `.to_vec()`,
-//!   `.clone()`.
+//!   paths, `vec!`/`format!`, the owning method calls `.push()`,
+//!   `.collect()` (also as `.collect::<T>()`), `.to_string()`,
+//!   `.to_owned()`, `.to_vec()`, `.clone()`, and the growth methods
+//!   `.extend()`, `.extend_from_slice()`, `.resize()`, `.reserve()`.
 //! * [`Effect::Blocks`] — the lock pass's blocking table
 //!   ([`crate::locks`]: `::sleep`, `.join()`, channel `.send`/`.recv`)
 //!   extended with lock acquisition (`.lock()`) and condvar waits
@@ -223,10 +224,12 @@ fn direct_effects(
             continue;
         }
         let bang = toks.get(i + 1).is_some_and(|n| n.is_punct('!'));
-        let called = toks.get(i + 1).is_some_and(|n| n.is_punct('('));
         let method = i > lo && toks[i - 1].is_punct('.');
         let path_next = toks.get(i + 1).is_some_and(|n| n.is_punct(':'))
             && toks.get(i + 2).is_some_and(|n| n.is_punct(':'));
+        // `name(..)` or a turbofish `name::<..>(..)`.
+        let called = toks.get(i + 1).is_some_and(|n| n.is_punct('('))
+            || (path_next && toks.get(i + 3).is_some_and(|n| n.is_punct('<')));
         let graph_resolved =
             |name: &str| resolved.contains(&(t.line, name.to_string()));
         // Blocking table shared with the lock pass, plus lock/condvar
@@ -258,7 +261,8 @@ fn direct_effects(
             "Box" | "Vec" | "String" if path_next => {
                 hit(Effect::Allocates, t.line, format!("a `{}::` constructor", t.text));
             }
-            "push" | "collect" | "to_string" | "to_owned" | "to_vec" | "clone"
+            "push" | "collect" | "to_string" | "to_owned" | "to_vec" | "clone" | "extend"
+            | "extend_from_slice" | "resize" | "reserve"
                 if method && called && !graph_resolved(&t.text) =>
             {
                 hit(Effect::Allocates, t.line, format!("`.{}(..)`", t.text));

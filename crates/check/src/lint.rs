@@ -19,10 +19,7 @@
 //! * **Docs** — every public item in `odr-core` and `odr-obs` carries a
 //!   doc comment.
 //! * **Feature gates** — every `feature = "..."` name used in a crate's
-//!   sources must be declared in that crate's `Cargo.toml`, and
-//!   `capture`-gated items in `odr-obs` must have a
-//!   `#[cfg(not(feature = "capture"))]` fallback twin so the disabled
-//!   build keeps the same API.
+//!   sources must be declared in that crate's `Cargo.toml`.
 //! * **Time units** — arithmetic and comparisons must not mix
 //!   identifiers with conflicting `_ns`/`_us`/`_ms` suffixes, and bare
 //!   integer literals must not be assigned to unit-suffixed names
@@ -93,7 +90,6 @@ pub const ALL_RULES: &[&str] = &[
     "panic/expect",
     "doc/missing",
     "feature/undeclared",
-    "feature/no-fallback",
     "units/mixed-suffix",
     "units/bare-literal",
     "lock/blocking-call",
@@ -696,51 +692,6 @@ pub fn feature_rules(
     }
 }
 
-fn squeeze(s: &str) -> String {
-    s.chars().filter(|c| !c.is_whitespace()).collect()
-}
-
-/// The `capture` fallback rule for `odr-obs`: an item gated
-/// `#[cfg(feature = "capture")]` must have a sibling of the same name
-/// gated `#[cfg(not(feature = "capture"))]`, so a capture-less build
-/// keeps the same (no-op) API instead of losing items.
-pub fn obs_fallback_rules(scan: &FileScan, allow: &Allowlist, report: &mut LintReport) {
-    fn walk(scan: &FileScan, siblings: &[Item], allow: &Allowlist, report: &mut LintReport) {
-        let has_fallback = |name: &str| {
-            siblings.iter().any(|s| {
-                s.name == name
-                    && s.attrs
-                        .iter()
-                        .any(|a| squeeze(a).starts_with("cfg(not(feature=\"capture\""))
-            })
-        };
-        for item in siblings {
-            if item.cfg_test {
-                continue;
-            }
-            let gated = item
-                .attrs
-                .iter()
-                .any(|a| squeeze(a).starts_with("cfg(feature=\"capture\""));
-            if gated && !has_fallback(&item.name) {
-                push_violation(
-                    report,
-                    allow,
-                    scan,
-                    item.line - 1,
-                    "feature/no-fallback",
-                    format!(
-                        "`{}` exists only with the `capture` feature; add a `#[cfg(not(feature = \"capture\"))]` no-op twin",
-                        item.name
-                    ),
-                );
-            }
-            walk(scan, &item.children, allow, report);
-        }
-    }
-    walk(scan, &scan.items, allow, report);
-}
-
 /// Parses the feature names declared in a `Cargo.toml` (`[features]`
 /// section keys plus implicit features from optional dependencies).
 #[must_use]
@@ -935,9 +886,6 @@ pub fn run_lints_on(ws: &Workspace, root: &Path, allow: &Allowlist) -> LintRepor
                 .unwrap_or_default()
         });
         feature_rules(scan, declared, allow, &mut report);
-        if krate == "obs" {
-            obs_fallback_rules(scan, allow, &mut report);
-        }
 
         if locks::in_scope(&rel) {
             let ls = locks::analyze_file(&rel, &scan.lexed, &scan.in_test, &mut orders);
@@ -1337,30 +1285,6 @@ mod tests {
         );
         feature_rules(&scan, &BTreeSet::new(), &Allowlist::default(), &mut report);
         assert_eq!(report.violations.len(), 1);
-    }
-
-    #[test]
-    fn capture_gated_item_without_fallback_flagged() {
-        let mut report = LintReport::default();
-        let scan = scan_file(
-            "crates/obs/src/recorder.rs",
-            "#[cfg(feature = \"capture\")]\npub fn drain() {}\n",
-        );
-        obs_fallback_rules(&scan, &Allowlist::default(), &mut report);
-        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
-        assert_eq!(report.violations[0].rule, "feature/no-fallback");
-    }
-
-    #[test]
-    fn capture_gated_item_with_noop_twin_is_clean() {
-        let mut report = LintReport::default();
-        let scan = scan_file(
-            "crates/obs/src/recorder.rs",
-            "#[cfg(feature = \"capture\")]\npub fn drain() { real() }\n\
-             #[cfg(not(feature = \"capture\"))]\npub fn drain() {}\n",
-        );
-        obs_fallback_rules(&scan, &Allowlist::default(), &mut report);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
     }
 
     #[test]

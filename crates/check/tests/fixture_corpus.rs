@@ -412,6 +412,38 @@ fn effects_workspace_flags_hot_root_with_cross_crate_witness_chains() {
 }
 
 #[test]
+fn effects_flag_turbofish_collect_and_growth_methods() {
+    let (root, scans) = scan_fixture_tree("effects_bad");
+    let graph = build_graph(&root, &scans);
+    let src = std::fs::read_to_string(root.join("crates/helpers/src/grow.rs")).unwrap();
+    let marked = bad_lines(&src);
+    assert_eq!(marked.len(), 5, "fixture should seed 5 allocation forms");
+    for (name, line) in ["gather", "append", "append_slice", "fit", "presize"]
+        .into_iter()
+        .zip(marked)
+    {
+        let mut report = LintReport::default();
+        effect_rules(
+            &graph,
+            &scans,
+            &format!("helpers::grow::{name} | alloc,block,panic\n"),
+            &Allowlist::default(),
+            &mut report,
+        );
+        let rules: Vec<&str> = report.violations.iter().map(|v| v.rule).collect();
+        assert_eq!(
+            rules,
+            ["effect/hot-alloc"],
+            "{name}: {:#?}",
+            report.violations
+        );
+        let loc = format!("crates/helpers/src/grow.rs:{line}");
+        let message = &report.violations[0].message;
+        assert!(message.contains(&loc), "{name}: {message}");
+    }
+}
+
+#[test]
 fn effects_clean_corpus_is_silent_even_as_hot_roots() {
     // Scanned at a real-tree path so `crates/core/Cargo.toml` supplies
     // the crate prefix, exactly as in production runs.

@@ -4,6 +4,8 @@
 //! *witness* lines the chains must cite; the violations themselves land
 //! on the hot root over in `app`.
 
+pub mod grow;
+
 /// Records a sample; the allocation happens one call deeper.
 pub fn record(v: u64) {
     let _ = push_sample(v);

@@ -89,7 +89,8 @@ fn admission_rejects_beyond_the_session_cap() {
         "127.0.0.1:0",
         ServeConfig {
             max_sessions: 1,
-            exit_after: Some(1),
+            // The holder's departure and the refusal both end a connection.
+            exit_after: Some(2),
             ..ServeConfig::default()
         },
     )
@@ -160,6 +161,41 @@ fn rejection_reason_carries_the_admission_prefix_once() {
     );
     assert_eq!(text, "admission rejected: server at session cap 0");
     let report = server.shutdown().expect("server drain");
+    assert_eq!((report.admitted, report.rejected), (0, 1));
+}
+
+#[test]
+fn exit_after_counts_refused_connections() {
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServeConfig {
+            max_sessions: 0,
+            exit_after: Some(1),
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind");
+    let refused = run_client(&ClientConfig {
+        connect: server.addr().to_string(),
+        session: small_session(Regulation::Odr {
+            target_fps: Some(30.0),
+        }),
+        duration: Duration::from_millis(300),
+        input_rate_hz: 0.0,
+        seed: 4,
+    });
+    assert!(matches!(refused, Err(OdrError::Admission { .. })));
+    // Wait on a helper thread so a server that never exits fails the
+    // test instead of hanging it.
+    let (done, joined) = std::sync::mpsc::channel();
+    let waiter = thread::spawn(move || {
+        let _ = done.send(server.join());
+    });
+    let report = joined
+        .recv_timeout(Duration::from_secs(10))
+        .expect("server did not exit after the refused connection")
+        .expect("server drain");
+    waiter.join().expect("waiter thread");
     assert_eq!((report.admitted, report.rejected), (0, 1));
 }
 

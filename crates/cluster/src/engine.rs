@@ -23,14 +23,14 @@
 //! # Determinism
 //!
 //! Worker threads only ever run inside [`odr_fleet::run_outcomes`], whose
-//! reduction is index-ordered; the control plane is serial with a
-//! FIFO-tie-broken [`odr_simtime::EventQueue`]. The resulting
+//! reduction is index-ordered; the control plane is serial on the same
+//! FIFO-tie-broken [`SlabEventQueue`] the session DES runs on. The resulting
 //! [`ClusterReport::to_text`] is byte-identical across `threads` values —
 //! scripts/ci.sh pins this with a `cmp` differential.
 
 use std::collections::BTreeMap;
 
-use odr_core::FidelityMode;
+use odr_core::{FidelityMode, SlabEventQueue};
 use odr_fleet::{
     run_outcomes, session_seed, uncontended_coefficients, FleetReport, SessionClass,
     SessionOutcome, CALIBRATION_SESSIONS,
@@ -40,7 +40,7 @@ use odr_metrics::Cdf;
 use odr_obs::{names, track, Event, ObsReport, Recorder, RingRecorder, NULL_RECORDER};
 use odr_pipeline::ExperimentConfig;
 use odr_simtime::time::duration_nanos;
-use odr_simtime::{Duration, EventQueue, Rng, SimTime};
+use odr_simtime::{Duration, Rng, SimTime};
 
 use crate::churn::{generate_arrivals, Arrival};
 use crate::config::ClusterConfig;
@@ -180,7 +180,10 @@ pub fn run_cluster(cfg: &ClusterConfig) -> ClusterRun {
         })
         .collect();
 
-    let mut queue = EventQueue::new();
+    // Every kill and arrival is scheduled up front; after that an arrival
+    // or retry pops before its one push, so only a kill's displaced
+    // sessions can grow the queue past this.
+    let mut queue = SlabEventQueue::with_capacity(cfg.kills.len() + arrivals.len());
     // Kills go in first: at equal instants a failure precedes arrivals,
     // retries and departures (FIFO tie-break), modelling "the node is
     // already down when the tick's other work runs".

@@ -1,10 +1,8 @@
 //! Property-based tests over the cluster engine's determinism and
 //! report-algebra invariants.
 //!
-//! Runs under the `proptest-tests` feature (on by default); the strategy
-//! engine is the std-only shim in `shims/proptest` so the suite runs
-//! fully offline. See shims/README.md.
-#![cfg(feature = "proptest-tests")]
+//! The strategy engine is the std-only shim in `shims/proptest` so the
+//! suite runs fully offline. See shims/README.md.
 
 use odr_cluster::{
     assert_conservation, run_cluster, ChurnConfig, ClusterConfig, ClusterReport, PlacementKind,

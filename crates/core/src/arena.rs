@@ -210,9 +210,21 @@ impl<E> SlabEventQueue<E> {
     /// Creates an empty queue.
     #[must_use]
     pub fn new() -> Self {
+        SlabEventQueue::with_capacity(0)
+    }
+
+    /// Creates an empty queue with room for `capacity` pending events, so
+    /// a caller that schedules a known batch up front allocates the heap
+    /// and the arena once instead of growing both by doubling.
+    #[must_use]
+    pub fn with_capacity(capacity: usize) -> Self {
         SlabEventQueue {
-            arena: EventArena::new(),
-            heap: Vec::new(),
+            arena: EventArena {
+                slots: Vec::with_capacity(capacity),
+                free_head: NIL,
+                live: 0,
+            },
+            heap: Vec::with_capacity(capacity),
             heap_len: 0,
             next_seq: 0,
         }
@@ -435,33 +447,35 @@ mod tests {
 
     /// Pseudo-random interleavings of pushes and pops must match the
     /// reference `EventQueue` exactly — this is the contract the DES
-    /// relies on for byte-determinism.
+    /// relies on for byte-determinism. A presized queue (here smaller
+    /// than the peak, so it also grows) must match too.
     #[test]
     fn differential_against_reference_event_queue() {
-        let mut rng = odr_simtime::Rng::new(0xA13E_57AB);
-        let mut slab = SlabEventQueue::new();
-        let mut reference = EventQueue::new();
-        let mut payload = 0u64;
-        for round in 0..4 {
-            for _ in 0..500 {
-                if rng.next_f64() < 0.6 {
-                    let t = SimTime::from_nanos(rng.next_u64() % 1000);
-                    slab.push(t, payload);
-                    reference.push(t, payload);
-                    payload += 1;
-                } else {
-                    assert_eq!(slab.pop(), reference.pop());
+        for mut slab in [SlabEventQueue::new(), SlabEventQueue::with_capacity(64)] {
+            let mut rng = odr_simtime::Rng::new(0xA13E_57AB);
+            let mut reference = EventQueue::new();
+            let mut payload = 0u64;
+            for round in 0..4 {
+                for _ in 0..500 {
+                    if rng.next_f64() < 0.6 {
+                        let t = SimTime::from_nanos(rng.next_u64() % 1000);
+                        slab.push(t, payload);
+                        reference.push(t, payload);
+                        payload += 1;
+                    } else {
+                        assert_eq!(slab.pop(), reference.pop());
+                    }
                 }
+                while let Some(got) = slab.pop() {
+                    assert_eq!(Some(got), reference.pop());
+                }
+                assert_eq!(reference.pop(), None);
+                // Round-robin reuse: a reset queue must stay equivalent to
+                // a fresh reference queue.
+                slab.reset();
+                reference = EventQueue::new();
+                let _ = round;
             }
-            while let Some(got) = slab.pop() {
-                assert_eq!(Some(got), reference.pop());
-            }
-            assert_eq!(reference.pop(), None);
-            // Round-robin reuse: a reset queue must stay equivalent to a
-            // fresh reference queue.
-            slab.reset();
-            reference = EventQueue::new();
-            let _ = round;
         }
     }
 }

@@ -367,7 +367,6 @@ mod tests {
         assert!(FpsRegulator::try_new(-1.0).is_err());
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn recorded_variant_matches_unrecorded_and_emits_events() {
         use odr_obs::{names, Kind, Recorder, RingRecorder};
@@ -393,7 +392,6 @@ mod tests {
         assert!(events.iter().any(|e| e.name == names::REG_ACCELERATE));
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn recorded_cancel_emits_priority_cancel() {
         use odr_obs::{names, Recorder, RingRecorder};

@@ -389,7 +389,6 @@ mod tests {
         assert!(err.to_string().contains("capacity"), "{err}");
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn obs_records_drops_flushes_and_waits() {
         use odr_obs::{names, track, Kind, MonoClock, Recorder, RingRecorder};

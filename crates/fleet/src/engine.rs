@@ -197,7 +197,6 @@ mod tests {
         assert!(plain.obs.is_empty());
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn obs_counters_fold_identically_across_thread_counts() {
         let mut cfg = tiny(4);

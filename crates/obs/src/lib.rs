@@ -7,8 +7,7 @@
 //! into a [`Recorder`] trait object:
 //!
 //! * hot paths pay one ring-buffer push and never allocate or format;
-//! * the disabled path is a [`NullRecorder`] (or a `capture`-less build, in
-//!   which even [`RingRecorder::record`] compiles to nothing);
+//! * the disabled path is a [`NullRecorder`], chosen at run time;
 //! * analysis — per-stage [`Counters`], the [`find_stalls`] overrun
 //!   detector, the JSONL / Chrome `trace_event` exporters — happens after
 //!   the run, on the drained list.

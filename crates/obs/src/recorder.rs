@@ -83,8 +83,7 @@ pub static NULL_RECORDER: NullRecorder = NullRecorder;
 ///
 /// When full it evicts the oldest event and counts it in
 /// [`Drained::dropped`], so a runaway producer degrades the trace window
-/// instead of memory. With the `capture` feature disabled, `record` is a
-/// no-op and `enabled` is `false` — the zero-cost-when-disabled contract.
+/// instead of memory.
 #[derive(Debug)]
 pub struct RingRecorder {
     inner: Mutex<Ring>,
@@ -93,8 +92,6 @@ pub struct RingRecorder {
 #[derive(Debug)]
 struct Ring {
     events: VecDeque<Event>,
-    // Only `record` (compiled out without `capture`) reads the bound.
-    #[cfg_attr(not(feature = "capture"), allow(dead_code))]
     capacity: usize,
     dropped: u64,
 }
@@ -106,11 +103,7 @@ impl RingRecorder {
         let capacity = capacity.max(1);
         RingRecorder {
             inner: Mutex::new(Ring {
-                events: VecDeque::with_capacity(if cfg!(feature = "capture") {
-                    capacity.min(DEFAULT_CAPACITY)
-                } else {
-                    0
-                }),
+                events: VecDeque::with_capacity(capacity.min(DEFAULT_CAPACITY)),
                 capacity,
                 dropped: 0,
             }),
@@ -144,20 +137,16 @@ impl Default for RingRecorder {
 
 impl Recorder for RingRecorder {
     fn enabled(&self) -> bool {
-        cfg!(feature = "capture")
+        true
     }
 
-    #[cfg_attr(not(feature = "capture"), allow(unused_variables))]
     fn record(&self, event: Event) {
-        #[cfg(feature = "capture")]
-        {
-            let mut ring = self.lock();
-            if ring.events.len() >= ring.capacity {
-                ring.events.pop_front();
-                ring.dropped += 1;
-            }
-            ring.events.push_back(event);
+        let mut ring = self.lock();
+        if ring.events.len() >= ring.capacity {
+            ring.events.pop_front();
+            ring.dropped += 1;
         }
+        ring.events.push_back(event);
     }
 
     fn drain(&self) -> Drained {
@@ -197,7 +186,6 @@ mod tests {
         assert_eq!(d.dropped, 0);
     }
 
-    #[cfg(feature = "capture")]
     #[test]
     fn ring_keeps_insertion_order() {
         let r = RingRecorder::new(8);
@@ -212,7 +200,6 @@ mod tests {
         assert!(r.is_empty());
     }
 
-    #[cfg(feature = "capture")]
     #[test]
     fn full_ring_sheds_oldest_and_counts() {
         let r = RingRecorder::new(3);
@@ -228,16 +215,6 @@ mod tests {
         assert_eq!(r.drain().dropped, 0);
     }
 
-    #[cfg(not(feature = "capture"))]
-    #[test]
-    fn capture_off_makes_rings_no_op() {
-        let r = RingRecorder::new(8);
-        assert!(!r.enabled());
-        r.record(ev(1));
-        assert!(r.drain().events.is_empty());
-    }
-
-    #[cfg(feature = "capture")]
     #[test]
     fn incremental_drain_matches_shutdown_drain_byte_for_byte() {
         // Two rings fed the identical event stream; one is drained

@@ -104,7 +104,6 @@ mod tests {
         assert_eq!((render.begun, render.completed), (1, 1));
     }
 
-    #[cfg(feature = "capture")]
     #[test]
     fn ring_recorder_round_trips_and_counts_stalls() {
         let ring = RingRecorder::default();
@@ -123,15 +122,5 @@ mod tests {
             Some(1),
             "stall count folds into the stage row"
         );
-    }
-
-    #[cfg(not(feature = "capture"))]
-    #[test]
-    fn capture_off_ring_drains_to_disabled() {
-        let ring = RingRecorder::default();
-        ring.record(Event::begin(0, track::PROXY, names::ENCODE));
-        let r = ObsReport::from_recorder(&ring);
-        assert!(!r.enabled);
-        assert!(r.events.is_empty());
     }
 }

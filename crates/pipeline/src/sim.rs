@@ -1364,7 +1364,6 @@ mod tests {
         assert_eq!(plain.one_line(), observed.one_line());
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn obs_capture_covers_every_stage() {
         use odr_obs::names;
@@ -1393,7 +1392,6 @@ mod tests {
         assert!(delays.begun > 0, "no regulator delays captured");
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn obs_capture_is_deterministic() {
         let base = cfg(RegulationSpec::odr(FpsGoal::Max)).with_obs();

@@ -445,7 +445,6 @@ mod tests {
         assert!(r.pacing_cv() < 1.5, "cv {}", r.pacing_cv());
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn obs_capture_merges_every_thread() {
         let mut cfg = small(Regulation::Odr {

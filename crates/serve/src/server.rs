@@ -59,8 +59,9 @@ pub struct ServeConfig {
     pub telemetry: Option<PathBuf>,
     /// Drain period for the telemetry stream.
     pub telemetry_period: Duration,
-    /// Stop accepting and drain once this many sessions have departed
-    /// (smoke tests and benches); `None` serves until `shutdown`.
+    /// Stop accepting and drain once this many connections have ended —
+    /// departed, refused, or dropped in the handshake (smoke tests and
+    /// benches); `None` serves until `shutdown`.
     pub exit_after: Option<u64>,
 }
 
@@ -235,6 +236,9 @@ fn accept_loop(
                         telemetry.as_deref(),
                         &stop,
                     );
+                    // Every way a connection ends counts, or a refused
+                    // client would leave `exit_after` waiting forever.
+                    shared.completed.fetch_add(1, Ordering::Relaxed);
                 }));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -345,5 +349,4 @@ fn serve_connection(
     if let Ok(report) = departed {
         lock(&shared.departures).push(report);
     }
-    shared.completed.fetch_add(1, Ordering::Relaxed);
 }

@@ -136,7 +136,6 @@ mod tests {
     use super::*;
     use odr_obs::{names, track, Event, RingRecorder};
 
-    #[cfg(feature = "obs")]
     #[test]
     fn streamed_events_land_in_the_file() {
         let dir = std::env::temp_dir().join(format!("odr-telemetry-{}", std::process::id()));

@@ -4,9 +4,8 @@
 //! [`WireError`]s (or `Ok(None)` for an incomplete prefix), because the
 //! server feeds these decoders bytes an arbitrary network peer chose.
 //!
-//! Runs under the `proptest-tests` feature; the strategy engine is the
-//! std-only shim in `shims/proptest` so the suite runs fully offline.
-#![cfg(feature = "proptest-tests")]
+//! The strategy engine is the std-only shim in `shims/proptest` so the
+//! suite runs fully offline.
 
 use odr_runtime::Regulation;
 use odr_serve::wire::{

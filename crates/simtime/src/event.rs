@@ -42,6 +42,13 @@ impl<E> Ord for Entry<E> {
 /// simulation driven by this queue is fully reproducible: no iteration-order
 /// or hash-seed effects can leak in.
 ///
+/// This is the reference implementation, not a production queue: every
+/// simulation (the session DES and the cluster control plane) runs on
+/// `odr_core::SlabEventQueue`. This plain `BinaryHeap` form defines the
+/// pop order that `odr-core`'s arena differential test and
+/// `tests/properties.rs` check the slab queue against, and it is the
+/// `simtime.event_queue_ns` row of the perf benchmark.
+///
 /// # Examples
 ///
 /// ```

@@ -8,9 +8,10 @@
 //! * [`Rng`] — a seedable, splittable SplitMix64 generator plus the
 //!   distributions the workload models need (uniform, normal, log-normal,
 //!   exponential, Bernoulli, Pareto).
-//! * [`EventQueue`] — a totally-ordered discrete-event queue: ties in time
-//!   are broken by insertion sequence, which makes every simulation that
-//!   uses it bit-for-bit reproducible for a given seed.
+//! * [`EventQueue`] — the reference totally-ordered discrete-event queue:
+//!   ties in time are broken by insertion sequence. It defines the pop
+//!   order that `odr_core::SlabEventQueue`, the queue every simulation
+//!   runs on, is tested against.
 //!
 //! Nothing in this crate knows about rendering or networks; it is a pure
 //! substrate, kept dependency-free so the determinism guarantees are easy to

@@ -8,11 +8,8 @@ cd "$(dirname "$0")/.."
 echo "== build (release, full workspace) =="
 cargo build --release --workspace
 
-echo "== tests (full workspace, all features) =="
+echo "== tests (full workspace) =="
 cargo test -q --workspace
-
-echo "== benches compile =="
-cargo bench --no-run --workspace
 
 echo "== odr-check: lint + swap-protocol model checker =="
 cargo run --release -q -p odr-check -- --deny-warnings --verbose
@@ -73,15 +70,6 @@ cmp "$graph_a" "$graph_b" || { echo "call graph is nondeterministic" >&2; exit 1
 cmp "$eff_a" "$eff_b" || { echo "effect surface is nondeterministic" >&2; exit 1; }
 rm -f "$lint_a" "$lint_b" "$api_a" "$api_b" "$graph_a" "$graph_b" "$eff_a" "$eff_b"
 echo "lint + api + callgraph + effects output byte-identical across runs"
-
-echo "== observability feature matrix =="
-# The obs capture path is a default-on feature; both halves of the
-# matrix must build, and the obs crate's own suite must pass with
-# capture compiled out (zero-cost build) and compiled in.
-cargo build --release -p cloud3d-odr --no-default-features
-cargo build --release -p odr-bench --no-default-features
-cargo test -q -p odr-obs
-cargo test -q -p odr-obs --no-default-features
 
 echo "== fleet determinism differential (1 thread vs all cores) =="
 # The fleet engine promises byte-identical reports regardless of worker
@@ -198,20 +186,13 @@ if ! cmp -s "$out_cluster_serial" "$out_cluster_parallel"; then
 fi
 echo "cluster report identical on 1 vs $threads thread(s)"
 
-echo "== cluster feature matrix (prediction-only build) =="
-# The cluster crate must build and pass its unit tests with obs capture
-# and the proptest suite compiled out.
-cargo test -q -p odr-cluster --no-default-features
-
 echo "== cluster scaling (ODR vs NoReg capacity at equal SLO) =="
 cargo run --release -q -p odr-bench --bin cluster_scaling
 
-echo "== serving surface: wire property suite + feature matrix =="
+echo "== serving surface: wire property suite + loopback tests =="
 # The wire-format property suite (round-trips, truncation, corruption,
-# hostile length prefixes) runs in the default build; the serving stack
-# must also build and pass with obs capture compiled out.
+# hostile length prefixes) and the loopback client tests.
 cargo test -q -p odr-serve
-cargo test -q -p odr-serve --no-default-features
 cargo test -q -p odr-client
 
 echo "== serving surface: loopback smoke (server + 4 clients over TCP) =="

@@ -10,11 +10,6 @@
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test --test golden_trace
 //! ```
-//!
-//! These tests only exist in `obs` builds (the default); with
-//! `--no-default-features` capture is compiled out and there is no event
-//! stream to pin.
-#![cfg(feature = "obs")]
 
 use std::path::PathBuf;
 

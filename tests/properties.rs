@@ -1,9 +1,7 @@
 //! Property-based tests over the core data structures and invariants.
 //!
-//! Runs under the `proptest-tests` feature (on by default); the strategy
-//! engine is the std-only shim in `shims/proptest` so the suite runs
-//! fully offline. See shims/README.md.
-#![cfg(feature = "proptest-tests")]
+//! The strategy engine is the std-only shim in `shims/proptest` so the
+//! suite runs fully offline. See shims/README.md.
 
 use cloud3d_odr::metrics::{Cdf, Summary, WindowedRate};
 use cloud3d_odr::netsim::{Link, LinkParams};
